@@ -35,8 +35,15 @@ from .functionals import (
     operator_a_norm,
 )
 from .harness import run_fuzz
-from .inequalities import TOL_ABS, TOL_REL, evaluate, get_entry, list_catalog
-from .numkernel import load_matrix, matrix_to_json
+from .inequalities import (
+    TOL_ABS,
+    TOL_REL,
+    deserialize_operands,
+    evaluate,
+    get_entry,
+    list_catalog,
+)
+from .numkernel import load_json, load_matrix, matrix_from_json, matrix_to_json
 from .space import build_space
 
 EXIT_OK = 0
@@ -56,17 +63,8 @@ def _default_tol() -> float:
 
 
 def _load_space(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{path}: JSON parse error at byte offset {exc.pos}: {exc.msg}"
-        ) from exc
+    obj = load_json(path)
     tol = float(obj.get("tol", _default_tol()))
-    from .numkernel import matrix_from_json
-
     return build_space(matrix_from_json(obj), tol=tol)
 
 
@@ -107,13 +105,8 @@ def cmd_compute(args) -> int:
 def cmd_check(args) -> int:
     space = _load_space(args.space)
     entry = get_entry(args.id)
-    operands = [load_matrix(p) for p in args.operands]
-    if entry.operand_kind in ("vec_pair", "vec_triple"):
-        operands = [o.ravel() for o in operands]
-    elif entry.operand_kind == "op_vector":
-        if len(operands) != 2:
-            raise ValueError("entry needs an operator file and a vector file")
-        operands = [operands[0], operands[1].ravel()]
+    operands = deserialize_operands(
+        entry.operand_kind, [load_matrix(p) for p in args.operands])
     params = {}
     for kv in args.params or []:
         key, _, val = kv.partition("=")

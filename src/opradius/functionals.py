@@ -264,13 +264,8 @@ def crawford_number(M: np.ndarray, num_angles: int = DEFAULT_ANGLES) -> float:
 # ---------------------------------------------------------------------------
 
 def _compression_or_raise(space: SemiHilbertSpace, T, exc_type) -> np.ndarray:
-    if not space.in_BA(T):
-        res, thr = space.membership_residual(T)
-        raise exc_type(
-            "operator maps null(A) outside null(A): nullspace-invariance "
-            f"residual {res:.3e} exceeds {thr:.3e}; the supremum over the "
-            "A-unit sphere is infinite"
-        )
+    T = space.require_member(
+        T, exc_type, tail="; the supremum over the A-unit sphere is infinite")
     return space.compression(T, check=False)
 
 

@@ -154,8 +154,6 @@ class FuzzReport:
     violations: list              # non-flagged violation records
     flagged_findings: list        # violations of flagged entries
     duration: float
-    tol_abs: float = inequalities.TOL_ABS
-    tol_rel: float = inequalities.TOL_REL
 
     @property
     def ok(self) -> bool:
@@ -164,8 +162,8 @@ class FuzzReport:
     def to_json(self) -> dict:
         return {
             "config": self.config,
-            "tol_abs": self.tol_abs,
-            "tol_rel": self.tol_rel,
+            "tol_abs": inequalities.TOL_ABS,
+            "tol_rel": inequalities.TOL_REL,
             "entries": {k: v.to_json() for k, v in sorted(self.entries.items())},
             "violations": self.violations,
             "flagged_findings": self.flagged_findings,
@@ -195,8 +193,6 @@ def _violation_record(entry, config, trial, kit, operands, params,
 
 
 def run_fuzz(config: ensembles.EnsembleConfig, entry_filter=None,
-             tol_abs: float = inequalities.TOL_ABS,
-             tol_rel: float = inequalities.TOL_REL,
              observer=None) -> FuzzReport:
     """Run a fuzz campaign; returns aggregates plus violation records.
 
@@ -219,8 +215,7 @@ def run_fuzz(config: ensembles.EnsembleConfig, entry_filter=None,
         for entry in catalog:
             operands = _operands_for(entry, kit)
             params = _params_for(entry, kit)
-            report = evaluate(entry.id, kit.space, operands, params,
-                              tol_abs=tol_abs, tol_rel=tol_rel, ctx=ctx,
+            report = evaluate(entry.id, kit.space, operands, params, ctx=ctx,
                               serialize_on_violation=False)
             aggregates[entry.id].update(report)
             if report.status == "Violated":
@@ -234,7 +229,7 @@ def run_fuzz(config: ensembles.EnsembleConfig, entry_filter=None,
         config={"dims": list(config.dims), "rank_policy": config.rank_policy,
                 "trials": config.trials, "master_seed": config.master_seed},
         entries=aggregates, violations=violations, flagged_findings=flagged,
-        duration=duration, tol_abs=tol_abs, tol_rel=tol_rel,
+        duration=duration,
     )
 
 
@@ -248,20 +243,14 @@ def replay(record: dict) -> MarginReport:
         entry_id = record["entry"]
         metric = matrix_from_json(record["space"]["metric"])
         tol = float(record["space"]["tol"])
-        operands = [matrix_from_json(o) for o in record["operands"]]
+        ops = inequalities.deserialize_operands(
+            inequalities.get_entry(entry_id).operand_kind,
+            [matrix_from_json(o) for o in record["operands"]])
         params = dict(record["params"])
         stored_fp = record["fingerprint"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptRecord(f"malformed violation record: {exc}") from exc
     space = build_space(metric, tol=tol)
-    # vectors were stored as n x 1 matrices
-    kind = inequalities.get_entry(entry_id).operand_kind
-    if kind in ("vec_pair", "vec_triple"):
-        ops = [o.ravel() for o in operands]
-    elif kind == "op_vector":
-        ops = [operands[0], operands[1].ravel()]
-    else:
-        ops = operands
     fp = inequalities.fingerprint_payload(entry_id, space, ops, params)
     if fp != stored_fp:
         raise CorruptRecord("fingerprint mismatch: record was tampered with")

@@ -710,6 +710,18 @@ def _serialize_operand(op) -> dict:
     return matrix_to_json(arr)
 
 
+def deserialize_operands(kind: str, mats: list) -> list:
+    """Inverse of ``_serialize_operand`` for one operand list: the vector
+    slots of ``kind`` are turned from n x 1 matrices back into vectors."""
+    if kind in ("vec_pair", "vec_triple"):
+        return [m.ravel() for m in mats]
+    if kind == "op_vector":
+        if len(mats) != 2:
+            raise ValueError("entry needs an operator and a vector operand")
+        return [mats[0], mats[1].ravel()]
+    return list(mats)
+
+
 def fingerprint_payload(entry_id: str, space: SemiHilbertSpace, operands,
                         params: dict) -> str:
     payload = {

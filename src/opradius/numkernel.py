@@ -181,16 +181,20 @@ def matrix_from_json(obj) -> np.ndarray:
     return as_matrix(flat.reshape(rows, cols))
 
 
-def load_matrix(path) -> np.ndarray:
+def load_json(path):
+    """Parse a JSON file; parse errors become ValueError with the offset."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"{path}: JSON parse error at byte offset {exc.pos}: {exc.msg}"
         ) from exc
-    return matrix_from_json(obj)
+
+
+def load_matrix(path) -> np.ndarray:
+    return matrix_from_json(load_json(path))
 
 
 def dump_matrix(M, path) -> None:

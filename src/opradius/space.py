@@ -57,9 +57,12 @@ class CompressedOperator:
 
 @dataclass
 class SemiHilbertSpace:
-    """Validated metric with cached spectral data.
+    """Validated metric and its thin spectral factorization A = Q Lam Q*.
 
-    Immutable after construction; every method is a pure function of its
+    The only n x n array kept is the metric itself; every other operator
+    (projector, square root, the metric adjoint) is formed from the
+    factors ``Q``, ``lam`` and ``Qn`` when it is asked for.  Immutable
+    after construction; every method is a pure function of its
     arguments, so instances are safe to share between threads.
     """
 
@@ -69,10 +72,6 @@ class SemiHilbertSpace:
     Q: np.ndarray           # dim x rank, orthonormal range basis
     lam: np.ndarray         # rank positive eigenvalues, ascending
     Qn: np.ndarray          # dim x (dim - rank), nullspace basis
-    projector: np.ndarray   # Q Q*
-    metric_pinv: np.ndarray
-    metric_half: np.ndarray
-    metric_half_pinv: np.ndarray
     tol: float = DEFAULT_TOL
     _sqrt_lam: np.ndarray = field(repr=False, default=None)
 
@@ -91,17 +90,20 @@ class SemiHilbertSpace:
             raise NotPSD(f"metric eigenvalue {w[0]:.3e} is negative")
         keep = w > tol * max(lam_max, 1e-300)
         Q, lam, Qn = V[:, keep], w[keep], V[:, ~keep]
-        r = int(lam.shape[0])
-        P = Q @ Q.conj().T
-        pinv = (Q / lam) @ Q.conj().T if r else np.zeros_like(A)
-        s = np.sqrt(lam)
-        half = (Q * s) @ Q.conj().T if r else np.zeros_like(A)
-        half_pinv = (Q / s) @ Q.conj().T if r else np.zeros_like(A)
         return SemiHilbertSpace(
-            dim=n, metric=A, rank=r, Q=Q, lam=lam, Qn=Qn, projector=P,
-            metric_pinv=pinv, metric_half=half, metric_half_pinv=half_pinv,
-            tol=tol, _sqrt_lam=s,
+            dim=n, metric=A, rank=int(lam.shape[0]), Q=Q, lam=lam, Qn=Qn,
+            tol=tol, _sqrt_lam=np.sqrt(lam),
         )
+
+    @property
+    def projector(self) -> np.ndarray:
+        """Orthogonal projector Q Q* onto the range of the metric."""
+        return self.Q @ self.Q.conj().T
+
+    @property
+    def metric_half(self) -> np.ndarray:
+        """PSD square root Q Lam^{1/2} Q* of the metric."""
+        return (self.Q * self._sqrt_lam) @ self.Q.conj().T
 
     # -- vectors -----------------------------------------------------------
 
@@ -142,11 +144,13 @@ class SemiHilbertSpace:
         return T
 
     def membership_residual(self, T) -> tuple[float, float]:
-        """Residual and threshold of the nullspace-invariance test."""
+        """Residual ||A^{1/2} T Qn|| = ||Lam^{1/2} Q* T Qn|| of the
+        nullspace-invariance test, and its threshold."""
         T = self._check_operator(T)
         if self.rank in (0, self.dim):
             return 0.0, self.tol
-        res = float(np.linalg.norm(self.metric_half @ T @ self.Qn))
+        leak = self.Q.conj().T @ T @ self.Qn
+        res = float(np.linalg.norm(self._sqrt_lam[:, None] * leak))
         thr = self.tol * (1.0 + frobenius(T) * frobenius(self.metric))
         return res, thr
 
@@ -154,15 +158,23 @@ class SemiHilbertSpace:
         res, thr = self.membership_residual(T)
         return res <= thr
 
+    def require_member(self, T, exc_type=NotInBA,
+                       lead: str = "operator maps null(A) outside null(A)",
+                       tail: str = "") -> np.ndarray:
+        """Return the validated ``T``, or raise ``exc_type`` reading
+        ``"<lead>: nullspace-invariance residual R exceeds THR<tail>"``."""
+        T = self._check_operator(T)
+        res, thr = self.membership_residual(T)
+        if not res <= thr:
+            raise exc_type(
+                f"{lead}: nullspace-invariance residual {res:.3e} exceeds "
+                f"{thr:.3e}{tail}"
+            )
+        return T
+
     def compression(self, T, check: bool = True) -> np.ndarray:
         """The r x r matrix Lam^{1/2} (Q* T Q) Lam^{-1/2}."""
-        T = self._check_operator(T)
-        if check and not self.in_BA(T):
-            res, thr = self.membership_residual(T)
-            raise NotInBA(
-                "operator maps null(A) outside null(A): nullspace-invariance "
-                f"residual {res:.3e} exceeds {thr:.3e}"
-            )
+        T = self.require_member(T) if check else self._check_operator(T)
         if self.rank == 0:
             return np.zeros((0, 0), dtype=complex)
         if not T.imag.any() and not np.iscomplexobj(self.Q):
@@ -207,14 +219,8 @@ class SemiHilbertSpace:
     def sharp_adjoint(self, T) -> np.ndarray:
         """The distinguished metric adjoint ``A^+ T* A`` (requires
         membership; satisfies ``A T^sharp = T* A``)."""
-        T = self._check_operator(T)
-        if not self.in_BA(T):
-            res, thr = self.membership_residual(T)
-            raise NotInBA(
-                "no metric adjoint: nullspace-invariance residual "
-                f"{res:.3e} exceeds {thr:.3e}"
-            )
-        return self.metric_pinv @ T.conj().T @ self.metric
+        T = self.require_member(T, lead="no metric adjoint")
+        return (self.Q / self.lam) @ self.Q.conj().T @ T.conj().T @ self.metric
 
     def re_a(self, T) -> np.ndarray:
         """Metric-Hermitian part (T + T^sharp) / 2."""

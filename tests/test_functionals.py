@@ -7,6 +7,7 @@ from opradius import (
     a_crawford,
     a_numerical_radius,
     build_space,
+    crawford_number,
     errors,
     numerical_radius,
     operator_a_norm,
@@ -166,6 +167,25 @@ def test_crawford_brute_force_agreement():
     brute = np.abs(np.einsum("si,ij,sj->s", Z.conj(), M, Z)).min()
     assert c <= brute + 1e-6
     assert brute - c <= 5e-2 * max(1.0, brute)
+
+
+def _strip_diagonal(r):
+    # eigenvalues -10..1 alternating +-1e-3 off the real axis, so the hull
+    # W(M) contains 0 and the minimum of the support function is +1e-3
+    e = np.where(np.arange(r) % 2 == 0, 1e-3, -1e-3)
+    return np.diag(np.linspace(-10.0, 1.0, r) + 1j * e)
+
+
+def test_crawford_origin_inside_range_dense_sweep():
+    assert crawford_number(_strip_diagonal(128)) == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "above DENSE_SWEEP_MAX the block subspace iteration converges to the "
+    "eigenvalues of largest magnitude, not to lam_max, so the support "
+    "function is overestimated (returns 9.74 here)"))
+def test_crawford_origin_inside_range_block_sweep():
+    assert crawford_number(_strip_diagonal(129)) == pytest.approx(0.0, abs=1e-9)
 
 
 # -- range boundary ---------------------------------------------------------

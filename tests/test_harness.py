@@ -80,6 +80,16 @@ def test_replay_rejects_tampering():
         replay(rec)
     with pytest.raises(errors.CorruptRecord, match="malformed"):
         replay({"entry": "QA1"})
+    # QA5 takes an operator and a vector; a record with only the operator
+    one_operand = copy.deepcopy(report.flagged_findings[0])
+    one_operand["entry"] = "QA5"
+    one_operand["operands"] = one_operand["operands"][:1]
+    with pytest.raises(errors.CorruptRecord, match="malformed"):
+        replay(one_operand)
+    unknown = copy.deepcopy(report.flagged_findings[0])
+    unknown["entry"] = "BOGUS"
+    with pytest.raises(errors.CorruptRecord, match="malformed"):
+        replay(unknown)
 
 
 def test_replay_tolerance_band_flip():

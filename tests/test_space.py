@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opradius import build_space, errors, random_in_BA, random_psd
+from opradius import (
+    a_numerical_radius,
+    build_space,
+    errors,
+    random_in_BA,
+    random_psd,
+)
+from opradius.numkernel import pseudo_inverse
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
 
@@ -16,6 +23,16 @@ def random_space(seed, dmax=6):
     d = int(rng.integers(2, dmax + 1))
     r = int(rng.integers(1, d + 1))
     return build_space(random_psd(d, r, rng)), rng
+
+
+# every (dim, rank) with 1 <= rank <= dim <= 6
+DIM_RANK = [(d, r) for d in range(1, 7) for r in range(1, d + 1)]
+
+
+def space_of_rank(d, r):
+    rng = np.random.default_rng(1000 * d + r)
+    return build_space(random_psd(d, r, rng)), rng
+
 
 
 def test_build_full_rank():
@@ -217,3 +234,52 @@ def test_elementary_re_inner_bound(seed):
     a = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
     b = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
     assert sp.a_inner(a, b).real <= sp.a_norm(a + b) ** 2 / 4 + 1e-9
+
+
+# -- the space keeps only its factorization ----------------------------------
+
+@pytest.mark.parametrize("d,r", DIM_RANK)
+def test_space_stores_only_metric_and_factors(d, r):
+    sp, _ = space_of_rank(d, r)
+    arrays = {k: v.shape for k, v in vars(sp).items()
+              if isinstance(v, np.ndarray)}
+    assert arrays == {"metric": (d, d), "Q": (d, r), "lam": (r,),
+                      "Qn": (d, d - r), "_sqrt_lam": (r,)}
+
+
+@pytest.mark.parametrize("d,r", DIM_RANK)
+def test_sharp_adjoint_matches_pseudo_inverse(d, r):
+    sp, rng = space_of_rank(d, r)
+    T = random_in_BA(sp, rng)
+    A = sp.metric
+    expect = pseudo_inverse(A) @ T.conj().T @ A
+    scale = np.linalg.norm(pseudo_inverse(A), 2) * np.linalg.norm(T) \
+        * np.linalg.norm(A)
+    assert np.linalg.norm(sp.sharp_adjoint(T) - expect) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("d,r", DIM_RANK)
+def test_membership_residual_equals_half_metric_form(d, r):
+    sp, rng = space_of_rank(d, r)
+    # generically outside B_A when r < d
+    T = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    res, _ = sp.membership_residual(T)
+    old = np.linalg.norm(sp.metric_half @ T @ sp.Qn)
+    scale = np.linalg.norm(sp.metric_half) * np.linalg.norm(T)
+    assert res == pytest.approx(old, rel=0, abs=1e-13 * scale)
+
+
+def test_membership_messages_keep_their_wording():
+    sp = build_space(np.diag([1.0, 0.0]))
+    sx = np.array([[0, 1], [1, 0]], float)
+    with pytest.raises(errors.NotInBA, match=r"^operator maps null\(A\) "
+                       r"outside null\(A\): nullspace-invariance residual "
+                       r"\S+ exceeds \S+$"):
+        sp.compression(sx)
+    with pytest.raises(errors.NotInBA, match=r"^no metric adjoint: "
+                       r"nullspace-invariance residual \S+ exceeds \S+$"):
+        sp.sharp_adjoint(sx)
+    with pytest.raises(errors.UnboundedForm, match=r"^operator maps null\(A\)"
+                       r".* exceeds \S+; the supremum over the A-unit sphere "
+                       r"is infinite$"):
+        a_numerical_radius(sp, sx)
