@@ -64,7 +64,10 @@ def _default_tol() -> float:
 
 def _load_space(path: str):
     obj = load_json(path)
-    tol = float(obj.get("tol", _default_tol()))
+    try:
+        tol = float(obj.get("tol", _default_tol()))
+    except (AttributeError, TypeError):
+        raise ValueError(f"{path}: not a matrix object with a numeric tol") from None
     return build_space(matrix_from_json(obj), tol=tol)
 
 

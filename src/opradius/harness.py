@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ensembles, inequalities
-from .errors import ConfigError, CorruptRecord
+from .errors import ConfigError, CorruptRecord, OpRadiusError
 from .inequalities import EvalContext, MarginReport, PARAM_GRID, evaluate, list_catalog
 from .numkernel import matrix_from_json, matrix_to_json
 from .space import build_space
@@ -171,18 +171,17 @@ class FuzzReport:
         }
 
 
-def _violation_record(entry, config, trial, kit, operands, params,
-                      report: MarginReport) -> dict:
+def _violation_record(config, trial, kit, report: MarginReport) -> dict:
     return {
-        "entry": entry.id,
+        "entry": report.id,
         "trial": trial,
         "master_seed": config.master_seed,
         "dim": kit.space.dim,
         "rank": kit.space.rank,
         "space": {"metric": matrix_to_json(kit.space.metric),
                   "tol": kit.space.tol},
-        "operands": [inequalities._serialize_operand(op) for op in operands],
-        "params": {k: float(v) for k, v in params.items()},
+        "operands": report.operands,
+        "params": {k: float(v) for k, v in report.params.items()},
         "lhs": report.lhs,
         "rhs": report.rhs,
         "margin": report.margin,
@@ -213,14 +212,11 @@ def run_fuzz(config: ensembles.EnsembleConfig, entry_filter=None,
         kit = build_kit(config, trial)
         ctx = EvalContext(kit.space)
         for entry in catalog:
-            operands = _operands_for(entry, kit)
-            params = _params_for(entry, kit)
-            report = evaluate(entry.id, kit.space, operands, params, ctx=ctx,
-                              serialize_on_violation=False)
+            report = evaluate(entry.id, kit.space, _operands_for(entry, kit),
+                              _params_for(entry, kit), ctx=ctx)
             aggregates[entry.id].update(report)
             if report.status == "Violated":
-                record = _violation_record(entry, config, trial, kit,
-                                           operands, params, report)
+                record = _violation_record(config, trial, kit, report)
                 (flagged if entry.flagged else violations).append(record)
             if observer is not None:
                 observer(trial, report)
@@ -241,19 +237,19 @@ def replay(record: dict) -> MarginReport:
     """
     try:
         entry_id = record["entry"]
-        metric = matrix_from_json(record["space"]["metric"])
-        tol = float(record["space"]["tol"])
+        space = build_space(matrix_from_json(record["space"]["metric"]),
+                            tol=float(record["space"]["tol"]))
         ops = inequalities.deserialize_operands(
             inequalities.get_entry(entry_id).operand_kind,
             [matrix_from_json(o) for o in record["operands"]])
         params = dict(record["params"])
         stored_fp = record["fingerprint"]
-    except (KeyError, TypeError, ValueError) as exc:
+        tol_abs = float(record.get("tol_abs", inequalities.TOL_ABS))
+        tol_rel = float(record.get("tol_rel", inequalities.TOL_REL))
+    except (KeyError, TypeError, ValueError, OpRadiusError) as exc:
         raise CorruptRecord(f"malformed violation record: {exc}") from exc
-    space = build_space(metric, tol=tol)
     fp = inequalities.fingerprint_payload(entry_id, space, ops, params)
     if fp != stored_fp:
         raise CorruptRecord("fingerprint mismatch: record was tampered with")
-    return evaluate(entry_id, space, ops, params,
-                    tol_abs=float(record.get("tol_abs", inequalities.TOL_ABS)),
-                    tol_rel=float(record.get("tol_rel", inequalities.TOL_REL)))
+    return evaluate(entry_id, space, ops, params, tol_abs=tol_abs,
+                    tol_rel=tol_rel)

@@ -13,6 +13,7 @@ metric-positive operators are ordinary Hermitian PSD powers.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -46,27 +47,28 @@ COMMUTE_TOL = 1e-8
 class InequalityCatalogEntry:
     id: str
     statement: str
-    operand_kind: str       # one of OPERAND_KINDS
+    operand_kind: str       # a key of OPERAND_KINDS
     evaluator: Callable     # (ctx, ops, params) -> (lhs, rhs, aux)
     params: tuple = ()      # names of parameters consumed
     variant: str = "as-stated"
     flagged: bool = False
 
 
-OPERAND_KINDS = (
-    "single",            # [T]
-    "pair",              # [T, S]
-    "quad",              # [T, X, Y, S]
-    "family",            # [X1..Xn], n >= 2
-    "commuting_pair",    # [T, S] commuting
-    "normal_pair",       # [T, S] metric-normal
-    "commuting_family",  # [T1..Tn] from a commuting family
-    "positive_triples",  # [T1, X1, S1, ..., Tn, Xn, Sn], T/S metric-positive
-    "op_vector",         # [T, x]
-    "vec_pair",          # [a, b]
-    "vec_triple",        # [x, y, z] / [a, b, e]
-    "scalars",           # none; a, b passed as params
-)
+# kind -> (min operands, max operands or None, positions of vector operands)
+OPERAND_KINDS = {
+    "single": (1, 1, ()),               # [T]
+    "pair": (2, 2, ()),                 # [T, S]
+    "quad": (4, 4, ()),                 # [T, X, Y, S]
+    "family": (2, None, ()),            # [X1..Xn], n >= 2
+    "commuting_pair": (2, 2, ()),       # [T, S] commuting
+    "normal_pair": (2, 2, ()),          # [T, S] metric-normal
+    "commuting_family": (2, None, ()),  # [T1..Tn] from a commuting family
+    "positive_triples": (3, None, ()),  # [T1, X1, S1, ...], Tj/Sj metric-positive
+    "op_vector": (2, 2, (1,)),          # [T, x]
+    "vec_pair": (2, 2, (0, 1)),         # [a, b]
+    "vec_triple": (3, 3, (0, 1, 2)),    # [x, y, z] / [a, b, e]
+    "scalars": (0, 0, ()),              # none; a, b passed as params
+}
 
 
 class EvalContext:
@@ -74,15 +76,16 @@ class EvalContext:
 
     def __init__(self, space: SemiHilbertSpace):
         self.space = space
-        self._comp: dict[int, np.ndarray] = {}
+        # id(T) -> (T, compression): holding T keeps its id from being reused
+        self._comp: dict[int, tuple] = {}
         self._rad: dict[bytes, float] = {}
         self._nrm: dict[bytes, float] = {}
 
     def comp(self, T) -> np.ndarray:
-        key = id(T)
-        if key not in self._comp:
-            self._comp[key] = self.space.compression(T)
-        return self._comp[key]
+        hit = self._comp.get(id(T))
+        if hit is None or hit[0] is not T:
+            hit = self._comp[id(T)] = (T, self.space.compression(T))
+        return hit[1]
 
     def rad(self, M: np.ndarray) -> float:
         key = M.tobytes()
@@ -176,8 +179,6 @@ def _ev_prod1(ctx, ops, params):
 
 
 def _family(ctx, ops):
-    if len(ops) < 2:
-        raise Inapplicable("family entries need at least two operators")
     fb = [ctx.comp(T) for T in ops]
     S1 = sum(fb)
     G = sum(b.conj().T @ b for b in fb)
@@ -455,8 +456,6 @@ def _ev_ag(ctx, ops, params):
 
 
 def _triples(ctx, ops):
-    if len(ops) < 3 or len(ops) % 3:
-        raise Inapplicable("operands must be (T_j, X_j, S_j) triples")
     n = len(ops) // 3
     Ts, Xs, Ss = [], [], []
     for j in range(n):
@@ -667,6 +666,9 @@ def get_entry(entry_id: str) -> InequalityCatalogEntry:
 
 @dataclass
 class MarginReport:
+    """Outcome of one evaluation.  ``fingerprint`` and ``operands`` are derived
+    on read from ``space`` and ``evaluated_on``, which must not be modified."""
+
     id: str
     lhs: float | None
     rhs: float | None
@@ -674,11 +676,23 @@ class MarginReport:
     status: str                      # Satisfied | Violated | Inapplicable
     tol_abs: float = TOL_ABS
     tol_rel: float = TOL_REL
-    fingerprint: str = ""
     params: dict = field(default_factory=dict)
-    operands: list | None = None     # serialized matrices, only on violation
     aux: dict = field(default_factory=dict)
     reason: str = ""
+    space: SemiHilbertSpace | None = field(default=None, repr=False, compare=False)
+    evaluated_on: list = field(default_factory=list, repr=False, compare=False)
+
+    @functools.cached_property
+    def fingerprint(self) -> str:
+        return fingerprint_payload(self.id, self.space, self.evaluated_on,
+                                   self.params)
+
+    @property
+    def operands(self) -> list | None:
+        """Serialized operands of a violation; None for other outcomes."""
+        if self.status != "Violated":
+            return None
+        return [_serialize_operand(op) for op in self.evaluated_on]
 
     def to_json(self) -> dict:
         out = {
@@ -691,8 +705,8 @@ class MarginReport:
             out["params"] = {k: float(v) for k, v in self.params.items()}
         if self.aux:
             out["aux"] = {k: float(v) for k, v in self.aux.items()}
-        if self.operands is not None:
-            out["operands"] = self.operands
+        if (operands := self.operands) is not None:
+            out["operands"] = operands
         if self.reason:
             out["reason"] = self.reason
         return out
@@ -712,14 +726,17 @@ def _serialize_operand(op) -> dict:
 
 def deserialize_operands(kind: str, mats: list) -> list:
     """Inverse of ``_serialize_operand`` for one operand list: the vector
-    slots of ``kind`` are turned from n x 1 matrices back into vectors."""
-    if kind in ("vec_pair", "vec_triple"):
+    slots of ``kind`` are turned from n x 1 matrices back into vectors.  A
+    wrong length is left for ``evaluate`` to report, except for ``op_vector``,
+    which mixes operators and vectors: its slots are ambiguous then."""
+    lo, _, vectors = OPERAND_KINDS[kind]
+    if not vectors:
+        return list(mats)
+    if len(vectors) == lo:      # vectors only, however many were given
         return [m.ravel() for m in mats]
-    if kind == "op_vector":
-        if len(mats) != 2:
-            raise ValueError("entry needs an operator and a vector operand")
-        return [mats[0], mats[1].ravel()]
-    return list(mats)
+    if len(mats) != lo:
+        raise ValueError("entry needs an operator and a vector operand")
+    return [m.ravel() if i in vectors else m for i, m in enumerate(mats)]
 
 
 def fingerprint_payload(entry_id: str, space: SemiHilbertSpace, operands,
@@ -735,17 +752,8 @@ def fingerprint_payload(entry_id: str, space: SemiHilbertSpace, operands,
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-_ARITY = {
-    "single": (1, 1), "pair": (2, 2), "quad": (4, 4),
-    "commuting_pair": (2, 2), "normal_pair": (2, 2),
-    "family": (2, None), "commuting_family": (2, None),
-    "positive_triples": (3, None), "op_vector": (2, 2),
-    "vec_pair": (2, 2), "vec_triple": (3, 3), "scalars": (0, 0),
-}
-
-
 def _check_signature(entry: InequalityCatalogEntry, operands) -> None:
-    lo, hi = _ARITY[entry.operand_kind]
+    lo, hi, _ = OPERAND_KINDS[entry.operand_kind]
     n = len(operands)
     if n < lo or (hi is not None and n > hi):
         want = f"{lo}" if hi == lo else (f">={lo}" if hi is None else f"{lo}..{hi}")
@@ -760,32 +768,23 @@ def _check_signature(entry: InequalityCatalogEntry, operands) -> None:
 
 def evaluate(entry_id: str, space: SemiHilbertSpace, operands,
              params: dict | None = None, tol_abs: float = TOL_ABS,
-             tol_rel: float = TOL_REL, ctx: EvalContext | None = None,
-             serialize_on_violation: bool = True) -> MarginReport:
+             tol_rel: float = TOL_REL, ctx: EvalContext | None = None) -> MarginReport:
     """Evaluate one catalog entry on concrete operands."""
     entry = get_entry(entry_id)
     params = dict(params or {})
     operands = list(operands)
     if ctx is None:
         ctx = EvalContext(space)
-    fp = fingerprint_payload(entry_id, space, operands, params)
+    common = dict(id=entry_id, tol_abs=tol_abs, tol_rel=tol_rel, params=params,
+                  space=space, evaluated_on=operands)
     try:
         _check_signature(entry, operands)
         lhs, rhs, aux = entry.evaluator(ctx, operands, params)
     except Inapplicable as exc:
-        return MarginReport(
-            id=entry_id, lhs=None, rhs=None, margin=None,
-            status="Inapplicable", tol_abs=tol_abs, tol_rel=tol_rel,
-            fingerprint=fp, params=params, reason=str(exc),
-        )
+        return MarginReport(lhs=None, rhs=None, margin=None,
+                            status="Inapplicable", reason=str(exc), **common)
     lhs, rhs = float(lhs), float(rhs)
     violated = is_violation(lhs, rhs, tol_abs, tol_rel)
-    report = MarginReport(
-        id=entry_id, lhs=lhs, rhs=rhs, margin=rhs - lhs,
-        status="Violated" if violated else "Satisfied",
-        tol_abs=tol_abs, tol_rel=tol_rel, fingerprint=fp,
-        params=params, aux=aux,
-    )
-    if violated and serialize_on_violation:
-        report.operands = [_serialize_operand(op) for op in operands]
-    return report
+    return MarginReport(lhs=lhs, rhs=rhs, margin=rhs - lhs,
+                        status="Violated" if violated else "Satisfied",
+                        aux=aux, **common)

@@ -170,14 +170,13 @@ def matrix_to_json(M) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
-        data = obj["data"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"matrix object missing field: {exc}") from exc
-    if len(data) != rows * cols:
+        flat = np.array([complex(re, im) for re, im in obj["data"]], dtype=complex)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed matrix object: {exc!r}") from exc
+    if flat.size != rows * cols:
         raise ValueError(
-            f"data length {len(data)} does not match rows*cols={rows * cols}"
+            f"data length {flat.size} does not match rows*cols={rows * cols}"
         )
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
     return as_matrix(flat.reshape(rows, cols))
 
 

@@ -84,6 +84,24 @@ def test_compute_bad_file_exit2(files, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "byte offset" in err
+    # valid JSON with the wrong shape or types: not an object, a null tol,
+    # data entries that are not [re, im] number pairs
+    tmp = files["tmp"]
+    array = tmp / "array.json"
+    array.write_text("[[1, 0], [0, 1]]")
+    null_tol = write_matrix(tmp / "null_tol.json", A_PD, extra={"tol": None})
+    flat = tmp / "flat.json"
+    flat.write_text(json.dumps({"rows": 2, "cols": 2, "data": [1, 0, 0, 1]}))
+    words = tmp / "words.json"
+    words.write_text(json.dumps({"rows": 1, "cols": 1, "data": [["a", "b"]]}))
+    for space, op in [(str(array), files["T"]), (null_tol, files["T"]),
+                      (str(flat), files["T"]), (files["space"], str(flat)),
+                      (files["space"], str(words))]:
+        code = main(["compute", "--space", space, "--op", op,
+                     "--quantity", "norm"])
+        err = capsys.readouterr().err
+        assert code == 2, (space, op)
+        assert err.startswith("error:")
 
 
 def test_check_satisfied_exit0(files, capsys):

@@ -2,7 +2,7 @@ import copy
 
 import pytest
 
-from opradius import EnsembleConfig, errors, replay, run_fuzz
+from opradius import EnsembleConfig, errors, inequalities, replay, run_fuzz
 
 
 def small_config(trials=30, seed=7):
@@ -46,7 +46,15 @@ def test_fuzz_filter_does_not_change_draws():
     assert only.entries["QA1"].to_json() == full.entries["QA1"].to_json()
 
 
-def test_flagged_entries_never_fail_run():
+def test_flagged_entries_never_fail_run(monkeypatch):
+    hashed = []
+    payload = inequalities.fingerprint_payload
+
+    def counting_payload(entry_id, *args):
+        hashed.append(entry_id)
+        return payload(entry_id, *args)
+
+    monkeypatch.setattr(inequalities, "fingerprint_payload", counting_payload)
     # enough trials to hit at least one as-printed violation
     cfg = EnsembleConfig(dims=[2, 3, 4], rank_policy="each", trials=120,
                          master_seed=42)
@@ -56,6 +64,9 @@ def test_flagged_entries_never_fail_run():
     assert report.flagged_findings        # but they are recorded
     assert all(rec["entry"].endswith(".stated")
                for rec in report.flagged_findings)
+    # a fingerprint is hashed once per record and for nothing else
+    assert sorted(hashed) == sorted(rec["entry"]
+                                    for rec in report.flagged_findings)
 
 
 def test_replay_roundtrip():
@@ -90,6 +101,16 @@ def test_replay_rejects_tampering():
     unknown["entry"] = "BOGUS"
     with pytest.raises(errors.CorruptRecord, match="malformed"):
         replay(unknown)
+    for key in ("tol_abs", "tol_rel"):
+        not_a_number = copy.deepcopy(report.flagged_findings[0])
+        not_a_number[key] = "loose"
+        with pytest.raises(errors.CorruptRecord, match="malformed"):
+            replay(not_a_number)
+    # a metric that is no longer Hermitian: entry (0, 1) moves, (1, 0) not
+    skewed = copy.deepcopy(report.flagged_findings[0])
+    skewed["space"]["metric"]["data"][1][0] += 1.0
+    with pytest.raises(errors.CorruptRecord, match="malformed"):
+        replay(skewed)
 
 
 def test_replay_tolerance_band_flip():

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from opradius import build_space, evaluate, get_entry, list_catalog
-from opradius.inequalities import is_violation
+from opradius import build_space, evaluate, get_entry, list_catalog, matrix_to_json
+from opradius.inequalities import EvalContext, fingerprint_payload, is_violation
 
 A_PD = np.array([[1, -1], [-1, 2]], float)
 PHI = (1 + np.sqrt(5)) / 2
@@ -171,13 +171,51 @@ def test_report_serialization_and_fingerprint():
     # identical operands give identical fingerprints
     rep2 = evaluate("QA1", sp, [T.copy(), S.copy()])
     assert rep2.fingerprint == rep.fingerprint
+    # every outcome hashes the operands it was evaluated on; only a
+    # violation carries them serialized
+    up = np.array([[0, 1], [0, 0]], float)
+    cases = [
+        ("Satisfied", "QA1", sp, [T, S], {}),
+        ("Violated", "RA1.stated", build_space(np.eye(1)),
+         [np.array([[0.2]]) for _ in range(3)], {}),
+        ("Inapplicable", "PROD2", build_space(np.eye(2)), [up, up.T], {}),
+        ("Inapplicable", "AG", build_space(np.eye(1)), [],
+         {"a": -1.0, "b": 0.5, "alpha": 0.3, "r": 2.0, "p": 3.0}),
+    ]
+    for status, eid, space, ops, params in cases:
+        rep = evaluate(eid, space, ops, params)
+        assert rep.status == status
+        assert rep.fingerprint == fingerprint_payload(eid, space, ops, params)
+        assert rep.to_json()["fingerprint"] == rep.fingerprint
+        assert (rep.operands is None) == (status != "Violated")
 
 
 def test_violated_report_carries_operands():
     sp = build_space(np.eye(1))
-    rep = evaluate("RA1.stated", sp, [np.array([[0.2]]) for _ in range(3)])
+    ops = [np.array([[0.2]]) for _ in range(3)]
+    rep = evaluate("RA1.stated", sp, ops)
     assert rep.status == "Violated"
-    assert rep.operands is not None and len(rep.operands) == 3
+    assert rep.operands == [matrix_to_json(op) for op in ops]
+    assert rep.to_json()["operands"] == rep.operands
+    # a vector operand is serialized as an n x 1 matrix; RA2 is tight at
+    # a = b, and a negative tolerance turns that into a violation
+    e1 = np.array([1.0, 0.0])
+    rep = evaluate("RA2", build_space(np.eye(2)), [e1, e1], tol_abs=-0.5)
+    assert rep.status == "Violated"
+    assert rep.operands[0] == matrix_to_json([[1.0], [0.0]])
+
+
+def test_shared_context_does_not_reuse_a_freed_operands_compression():
+    # the compression cache is keyed by the operand object; a new array
+    # can get the id of a freed one and must not be served its compression
+    sp = build_space(np.diag([1.0, 2.0, 3.0]))
+    ctx = EvalContext(sp)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        ops = [rng.standard_normal((3, 3)) for _ in range(2)]
+        shared = evaluate("SUBMULT", sp, ops, ctx=ctx)
+        fresh = evaluate("SUBMULT", sp, ops)
+        assert (shared.lhs, shared.rhs) == (fresh.lhs, fresh.rhs)
 
 
 def test_every_entry_statement_and_kind():
