@@ -86,7 +86,7 @@ def run_demo(ns=(10, 20, 40), potential: str = "sine",
              num_angles: int = 96) -> list[dict]:
     """Run the bound check for each mesh resolution.
 
-    The default 96-angle sweep (still golden-refined) matches the full
+    The default 96-angle sweep (still refined) matches the full
     720-angle result to ~1e-10 here: the rotated top eigenvalue for this
     operator family has only a couple of lobes across the circle.
     """

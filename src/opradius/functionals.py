@@ -8,8 +8,11 @@ sphere equals ``<Mz, z>`` over the Euclidean unit sphere of C^r, so
     w_A(T)  = max_theta  lam_max(Re(e^{i theta} M)),
     c_A(T)  = dist(0, W(M)) = max(0, -min_theta lam_max(Re(e^{-i theta} M))).
 
-The rotated-eigenvalue sweeps use a coarse uniform grid followed by
-golden-section refinement of the bracketed extrema.
+Both sweeps find an extremum of one function, f(theta) = lam_max(cos(theta)
+H + sin(theta) K) for the Hermitian parts of M: a uniform grid locates
+it, and a bracketed root-finder on the slope f' (Hellmann-Feynman, from
+the top eigenvector each evaluation computes) refines it.  The radius's
+witness is the top eigenvector at the best angle the sweep evaluated.
 """
 from __future__ import annotations
 
@@ -22,8 +25,12 @@ from .errors import DegenerateSpaceWarning, NotInBA, UnboundedForm
 from .space import SemiHilbertSpace
 
 DEFAULT_ANGLES = 720
-GOLDEN_WIDTH = 1e-12
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+# Refinement of the grid extrema: the best REFINE_PEAKS of them are
+# narrowed to angular width REFINE_WIDTH, in at most REFINE_STEPS
+# evaluations each.
+REFINE_PEAKS = 8
+REFINE_WIDTH = 1e-12
+REFINE_STEPS = 64
 # Above this size the per-angle top eigenvalue switches from the batched
 # dense path to a warm-started block subspace iteration.
 DENSE_SWEEP_MAX = 128
@@ -54,16 +61,16 @@ def _split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return H, K
 
 
-def _top_eig_dense(H: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(H)[-1])
-
-
 class _RotatedTop:
     """f(theta) = lam_max(cos(theta) P + sin(theta) R) for Hermitian P, R.
 
-    Small matrices use batched dense solves; large ones a warm-started
-    block subspace iteration (the block is carried between nearby
-    angles, so each evaluation needs only a few dense multiplies).
+    A call returns ``(f, v, f')``: the value, its unit top eigenvector and,
+    by Hellmann-Feynman, the slope ``f' = v*(cos(theta) R - sin(theta) P) v``.
+    Small matrices use dense solves (batched on the grid); large ones a
+    warm-started block subspace iteration (the block is carried between
+    nearby angles, so each evaluation needs only a few dense multiplies
+    and the rotated matrix is never formed: memory traffic dominates at
+    that size).
     """
 
     _BLOCK = 4
@@ -72,11 +79,6 @@ class _RotatedTop:
         self.P, self.R = P, R
         self.r = P.shape[0]
         self._V = None
-        if self.r > DENSE_SWEEP_MAX:
-            # static complex copies so the iteration never re-materializes
-            # the rotated matrix (memory traffic dominates at this size)
-            self._Pc = np.ascontiguousarray(P, dtype=complex)
-            self._Rc = np.ascontiguousarray(R, dtype=complex)
 
     def grid(self, angles: int) -> tuple[np.ndarray, np.ndarray]:
         theta = np.linspace(0.0, 2 * np.pi, angles, endpoint=False)
@@ -89,14 +91,19 @@ class _RotatedTop:
                          + np.sin(t)[:, None, None] * self.R)
                 vals[i:i + block] = np.linalg.eigvalsh(stack)[:, -1]
         else:
-            vals = np.array([self(t) for t in theta])
+            vals = np.array([self._block_top(np.cos(t), np.sin(t))[0]
+                             for t in theta])
         return theta, vals
 
-    def __call__(self, theta: float) -> float:
+    def __call__(self, theta: float) -> tuple[float, np.ndarray, float]:
+        c, s = np.cos(theta), np.sin(theta)
         if self.r <= DENSE_SWEEP_MAX:
-            return _top_eig_dense(np.cos(theta) * self.P
-                                  + np.sin(theta) * self.R)
-        return self._block_top(theta)
+            w, U = np.linalg.eigh(c * self.P + s * self.R)
+            lam, v = float(w[-1]), U[:, -1]
+        else:
+            lam, v = self._block_top(c, s)
+        slope = float(np.vdot(v, c * (self.R @ v) - s * (self.P @ v)).real)
+        return lam, v, slope
 
     def _start_block(self) -> np.ndarray:
         b = min(self._BLOCK, self.r)
@@ -104,14 +111,13 @@ class _RotatedTop:
         V = rng.standard_normal((self.r, b)) + 1j * rng.standard_normal((self.r, b))
         return np.linalg.qr(V)[0]
 
-    def _block_top(self, theta: float, tol: float = 1e-10,
-                   maxiter: int = 400, want_vector: bool = False):
-        c, s = np.cos(theta), np.sin(theta)
+    def _block_top(self, c: float, s: float, tol: float = 1e-10,
+                   maxiter: int = 400) -> tuple[float, np.ndarray]:
         V = self._V
         if V is None:
             V = self._start_block()
         for _ in range(maxiter):
-            W = c * (self._Pc @ V) + s * (self._Rc @ V)
+            W = c * (self.P @ V) + s * (self.R @ V)
             S = V.conj().T @ W
             w, U = np.linalg.eigh((S + S.conj().T) / 2)
             lam = float(w[-1])
@@ -119,77 +125,79 @@ class _RotatedTop:
             res = float(np.linalg.norm(W @ U[:, -1] - lam * top_vec))
             if res <= tol * max(1.0, abs(lam)):
                 self._V = V
-                return (lam, top_vec) if want_vector else lam
+                return lam, top_vec
             V = np.linalg.qr(W)[0]
         from scipy.linalg import eigh as dense_eigh  # pragma: no cover
 
         self._V = V  # pragma: no cover
         H = c * self.P + s * self.R  # pragma: no cover
         w, U = dense_eigh(H, subset_by_index=[self.r - 1, self.r - 1])  # pragma: no cover
-        return (float(w[0]), U[:, 0]) if want_vector else float(w[0])  # pragma: no cover
-
-    def eigvec_at(self, theta: float) -> tuple[float, np.ndarray]:
-        if self.r > DENSE_SWEEP_MAX:
-            return self._block_top(theta, want_vector=True)
-        H = np.cos(theta) * self.P + np.sin(theta) * self.R
-        w, V = np.linalg.eigh(H)
-        return float(w[-1]), V[:, -1]
+        return float(w[0]), U[:, 0]  # pragma: no cover
 
 
-def _golden(f, a: float, b: float, maximize: bool,
-            width: float = GOLDEN_WIDTH) -> tuple[float, float]:
-    """Golden-section search on [a, b] down to the given angular width."""
-    sign = 1.0 if maximize else -1.0
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = sign * f(c), sign * f(d)
-    while b - a > width:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = sign * f(c)
+def _illinois(g, a: float, ga: float, b: float, gb: float) -> None:
+    """Narrow the sign change of ``g`` on [a, b], ``g(a) > 0 > g(b)``, by
+    Illinois regula falsi: a kink is bracketed like a smooth root.  The
+    caller's ``g`` records the points it evaluates; nothing is returned."""
+    kept = 0                    # +1: b was kept by the last step, -1: a
+    for _ in range(REFINE_STEPS):
+        if b - a <= REFINE_WIDTH:
+            return
+        t = (a * gb - b * ga) / (gb - ga)
+        if not a < t < b:       # rounding at a tiny bracket
+            t = 0.5 * (a + b)
+        gt = g(t)
+        if gt == 0.0:
+            return
+        if gt > 0:
+            a, ga = t, gt
+            if kept == 1:
+                gb /= 2
+            kept = 1
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = sign * f(d)
-    if fc >= fd:
-        return c, sign * fc
-    return d, sign * fd
+            b, gb = t, gt
+            if kept == -1:
+                ga /= 2
+            kept = -1
 
 
-def _local_extrema(vals: np.ndarray, maximize: bool, cap: int = 8) -> np.ndarray:
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    if maximize:
-        mask = (vals >= left) & (vals >= right)
-        order = np.argsort(vals[mask])[::-1]
-    else:
-        mask = (vals <= left) & (vals <= right)
-        order = np.argsort(vals[mask])
-    idx = np.flatnonzero(mask)[order]
-    return idx[:cap]
+def _sweep_extremum(top: _RotatedTop, angles: int,
+                    maximize: bool) -> tuple[float, float, np.ndarray]:
+    """Extremum of f over the circle as ``(theta, f, top eigenvector)``.
 
-
-def _sweep_extremum(top: _RotatedTop, angles: int, maximize: bool) -> tuple[float, float]:
+    The best REFINE_PEAKS local extrema of the uniform grid are refined:
+    ``g = sign * f'`` changes sign from + to - at each of them, so the
+    extremum lies within one grid step on the side the slope at its grid
+    angle points to.  The best point evaluated wins; the best grid angle
+    is among them, so refinement never loses to the grid.
+    """
+    sign = 1.0 if maximize else -1.0
     theta, vals = top.grid(angles)
+    g = sign * vals
+    peaks = np.flatnonzero((g >= np.roll(g, 1)) & (g >= np.roll(g, -1)))
+    peaks = peaks[np.argsort(g[peaks])[::-1][:REFINE_PEAKS]]
+    best = (0.0, -np.inf, None)         # (theta, sign * f, v)
+
+    def slope(t: float) -> float:
+        nonlocal best
+        f, v, df = top(t)
+        if sign * f > best[1]:
+            best = (t, sign * f, v)
+        return sign * df
+
     step = 2 * np.pi / angles
-    best_t, best_v = None, None
-    small = top.r <= DENSE_SWEEP_MAX
-    cap = 8 if small else 2
-    # past width ~1e-7 the value is converged to the iterative eigensolver
-    # resolution, so the large-matrix path stops there
-    width = GOLDEN_WIDTH if small else 1e-7
-    for i in _local_extrema(vals, maximize, cap=cap):
-        t, v = _golden(top, theta[i] - step, theta[i] + step, maximize,
-                       width=width)
-        if best_v is None or (v > best_v if maximize else v < best_v):
-            best_t, best_v = t, v
-    if best_v is None:  # constant grid, e.g. all equal values
-        best_t, best_v = float(theta[np.argmax(vals) if maximize else np.argmin(vals)]), \
-            float(vals.max() if maximize else vals.min())
-    grid_v = float(vals.max()) if maximize else float(vals.min())
-    best_v = max(best_v, grid_v) if maximize else min(best_v, grid_v)
-    return float(best_t) % (2 * np.pi), float(best_v)
+    for i in peaks:
+        t0 = float(theta[i])
+        g0 = slope(t0)
+        if g0 == 0.0:
+            continue
+        t1 = t0 + np.copysign(step, g0)
+        g1 = slope(t1)
+        if g0 * g1 < 0:
+            lo, hi = sorted(((t0, g0), (t1, g1)))
+            _illinois(slope, *lo, *hi)
+    t, f, v = best
+    return float(t) % (2 * np.pi), sign * f, v
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +243,15 @@ def numerical_radius(M: np.ndarray, num_angles: int = DEFAULT_ANGLES,
         return val
     # Re(e^{i theta} M) = cos(theta) H - sin(theta) K
     top = _RotatedTop(H, -K)
-    theta, val = _sweep_extremum(top, num_angles, maximize=True)
+    theta, val, vec = _sweep_extremum(top, num_angles, maximize=True)
     if not want_witness:
         return val
-    _, vec = top.eigvec_at(theta)
     form = complex(vec.conj() @ (M @ vec))
     gap = abs(val - abs(form)) + 1e-12 * scale
     return val, theta, vec, gap
 
 
-def crawford_number(M: np.ndarray, num_angles: int = DEFAULT_ANGLES) -> float:
+def crawford_number(M: np.ndarray) -> float:
     """Distance from the origin to the (convex) numerical range of M."""
     M = np.asarray(M, dtype=complex)
     r = M.shape[0]
@@ -255,7 +262,7 @@ def crawford_number(M: np.ndarray, num_angles: int = DEFAULT_ANGLES) -> float:
     H, K = _split(M)
     # support function h(theta) = lam_max(Re(e^{-i theta} M))
     top = _RotatedTop(H, K)
-    _, h_min = _sweep_extremum(top, num_angles, maximize=False)
+    _, h_min, _ = _sweep_extremum(top, DEFAULT_ANGLES, maximize=False)
     return max(0.0, -h_min)
 
 
@@ -269,29 +276,20 @@ def _compression_or_raise(space: SemiHilbertSpace, T, exc_type) -> np.ndarray:
     return space.compression(T, check=False)
 
 
-def operator_a_norm(space: SemiHilbertSpace, T, strict: bool = True) -> float:
-    """Operator seminorm sigma_max(M_r(T)).
-
-    With ``strict`` (default) the operator must admit a metric adjoint;
-    non-strict mode still returns the seminorm of the range-restricted
-    action, which is finite in finite dimension.
-    """
-    if strict:
-        M = _compression_or_raise(space, T, NotInBA)
-    else:
-        M = space.compression(T, check=False)
-    return spectral_norm(M)
+def operator_a_norm(space: SemiHilbertSpace, T) -> float:
+    """Operator seminorm sigma_max(M_r(T)); the operator must admit a
+    metric adjoint."""
+    return spectral_norm(_compression_or_raise(space, T, NotInBA))
 
 
-def a_numerical_radius(space: SemiHilbertSpace, T,
-                       num_angles: int = DEFAULT_ANGLES) -> RadiusResult:
+def a_numerical_radius(space: SemiHilbertSpace, T) -> RadiusResult:
     """Numerical radius w_A(T) with maximizing angle and witness vector."""
     M = _compression_or_raise(space, T, UnboundedForm)
     if space.rank == 0:
         warnings.warn("rank-zero metric: all functionals vanish",
                       DegenerateSpaceWarning, stacklevel=2)
         return RadiusResult(0.0, 0.0, np.zeros(space.dim, complex), 0.0)
-    val, theta, vec, gap = numerical_radius(M, num_angles, want_witness=True)
+    val, theta, vec, gap = numerical_radius(M, want_witness=True)
     x = space.lift_vector(vec)
     nx = space.a_norm(x)
     if nx > 0:
@@ -299,15 +297,14 @@ def a_numerical_radius(space: SemiHilbertSpace, T,
     return RadiusResult(value=val, argmax_angle=theta, witness=x, gap=gap)
 
 
-def a_crawford(space: SemiHilbertSpace, T,
-               num_angles: int = DEFAULT_ANGLES) -> float:
+def a_crawford(space: SemiHilbertSpace, T) -> float:
     """Crawford number: distance from 0 to the compressed numerical range."""
     M = _compression_or_raise(space, T, UnboundedForm)
     if space.rank == 0:
         warnings.warn("rank-zero metric: Crawford number is 0 by convention",
                       DegenerateSpaceWarning, stacklevel=2)
         return 0.0
-    return crawford_number(M, num_angles)
+    return crawford_number(M)
 
 
 def range_boundary(space: SemiHilbertSpace, T,

@@ -12,8 +12,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import ensembles, inequalities
 from .errors import ConfigError, CorruptRecord, OpRadiusError
 from .inequalities import EvalContext, MarginReport, PARAM_GRID, evaluate, list_catalog
@@ -26,18 +24,12 @@ FAMILY_SIZES = (2, 3, 4)
 @dataclass
 class TrialKit:
     """Operands for one trial, drawn unconditionally so the stream does
-    not depend on which entries are enabled."""
+    not depend on which entries are enabled.  ``operands`` maps every
+    operand kind to its list; kinds share array objects (T is the first
+    operand of several), which the evaluation context's caches rely on."""
 
     space: object
-    T: np.ndarray
-    S: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
-    family: list
-    commuting: list
-    normal_pair: list
-    triples: list          # flattened (T_j, X_j, S_j)
-    vectors: list          # three dim-vectors
+    operands: dict         # operand kind -> operand list
     scalars: tuple         # (a, b)
     n: int
     params: dict
@@ -49,55 +41,26 @@ def build_kit(config: ensembles.EnsembleConfig, trial: int) -> TrialKit:
     space = ensembles.random_space(dim, rank, rng)
     n = FAMILY_SIZES[trial % len(FAMILY_SIZES)]
     params = dict(PARAM_GRID[trial % len(PARAM_GRID)])
-    T = ensembles.random_in_BA(space, rng)
-    S = ensembles.random_in_BA(space, rng)
-    X = ensembles.random_in_BA(space, rng)
-    Y = ensembles.random_in_BA(space, rng)
+    T, S, X, Y = (ensembles.random_in_BA(space, rng) for _ in range(4))
     family = [ensembles.random_in_BA(space, rng) for _ in range(n)]
     commuting = ensembles.random_commuting_family(space, n, rng)
-    normal_pair = [ensembles.random_a_normal(space, rng),
-                   ensembles.random_a_normal(space, rng)]
-    triples = []
-    for _ in range(n):
-        triples.append(ensembles.random_a_positive(space, rng))
-        triples.append(ensembles.random_in_BA(space, rng))
-        triples.append(ensembles.random_a_positive(space, rng))
+    normal_pair = [ensembles.random_a_normal(space, rng) for _ in range(2)]
+    triples = [op for _ in range(n)      # flattened (T_j, X_j, S_j)
+               for op in (ensembles.random_a_positive(space, rng),
+                          ensembles.random_in_BA(space, rng),
+                          ensembles.random_a_positive(space, rng))]
     vectors = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
                for _ in range(3)]
     scalars = (float(rng.exponential(2.0)), float(rng.exponential(2.0)))
-    return TrialKit(space=space, T=T, S=S, X=X, Y=Y, family=family,
-                    commuting=commuting, normal_pair=normal_pair,
-                    triples=triples, vectors=vectors, scalars=scalars,
-                    n=n, params=params)
-
-
-def _operands_for(entry, kit: TrialKit):
-    kind = entry.operand_kind
-    if kind == "single":
-        return [kit.T]
-    if kind == "pair":
-        return [kit.T, kit.S]
-    if kind == "quad":
-        return [kit.T, kit.X, kit.Y, kit.S]
-    if kind == "family":
-        return list(kit.family)
-    if kind == "commuting_pair":
-        return kit.commuting[:2]
-    if kind == "normal_pair":
-        return list(kit.normal_pair)
-    if kind == "commuting_family":
-        return list(kit.commuting)
-    if kind == "positive_triples":
-        return list(kit.triples)
-    if kind == "op_vector":
-        return [kit.T, kit.vectors[0]]
-    if kind == "vec_pair":
-        return kit.vectors[:2]
-    if kind == "vec_triple":
-        return list(kit.vectors)
-    if kind == "scalars":
-        return []
-    raise ConfigError(f"unknown operand kind {kind!r}")  # pragma: no cover
+    operands = {
+        "single": [T], "pair": [T, S], "quad": [T, X, Y, S],
+        "family": family, "commuting_pair": commuting[:2],
+        "normal_pair": normal_pair, "commuting_family": commuting,
+        "positive_triples": triples, "op_vector": [T, vectors[0]],
+        "vec_pair": vectors[:2], "vec_triple": vectors, "scalars": [],
+    }
+    return TrialKit(space=space, operands=operands, scalars=scalars, n=n,
+                    params=params)
 
 
 def _params_for(entry, kit: TrialKit) -> dict:
@@ -212,7 +175,8 @@ def run_fuzz(config: ensembles.EnsembleConfig, entry_filter=None,
         kit = build_kit(config, trial)
         ctx = EvalContext(kit.space)
         for entry in catalog:
-            report = evaluate(entry.id, kit.space, _operands_for(entry, kit),
+            report = evaluate(entry.id, kit.space,
+                              kit.operands[entry.operand_kind],
                               _params_for(entry, kit), ctx=ctx)
             aggregates[entry.id].update(report)
             if report.status == "Violated":
@@ -251,5 +215,7 @@ def replay(record: dict) -> MarginReport:
     fp = inequalities.fingerprint_payload(entry_id, space, ops, params)
     if fp != stored_fp:
         raise CorruptRecord("fingerprint mismatch: record was tampered with")
-    return evaluate(entry_id, space, ops, params, tol_abs=tol_abs,
-                    tol_rel=tol_rel)
+    report = evaluate(entry_id, space, ops, params, tol_abs=tol_abs,
+                      tol_rel=tol_rel)
+    report.fingerprint = fp     # already hashed: fills the cached property
+    return report

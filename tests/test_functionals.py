@@ -57,8 +57,6 @@ def test_norm_strict_mode():
     sx = np.array([[0, 1], [1, 0]], float)
     with pytest.raises(errors.NotInBA):
         operator_a_norm(sp, sx)
-    # non-strict still returns the range-restricted seminorm
-    assert operator_a_norm(sp, sx, strict=False) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_norm_anticommutator_reference():
@@ -167,6 +165,15 @@ def test_crawford_brute_force_agreement():
     brute = np.abs(np.einsum("si,ij,sj->s", Z.conj(), M, Z)).min()
     assert c <= brute + 1e-6
     assert brute - c <= 5e-2 * max(1.0, brute)
+
+
+def test_crawford_minimum_at_a_kink_off_the_grid():
+    # W(M) is the triangle with vertices e^{0.3i}(1+i), e^{0.3i}(1-i),
+    # 3e^{0.3i}; its nearest point to 0 is e^{0.3i} on the edge Re = 1
+    # (rotated), so the support function has its minimum -1 at a kink,
+    # at an angle that is not a grid angle
+    M = np.exp(0.3j) * np.diag([1 + 1j, 1 - 1j, 3])
+    assert crawford_number(M) == pytest.approx(1.0, abs=1e-12)
 
 
 def _strip_diagonal(r):
@@ -296,6 +303,49 @@ def test_positive_operator_radius_equals_norm(seed):
     lam_top = float(np.linalg.eigvalsh(sp.compression(T)).max()) if sp.rank else 0.0
     assert w == pytest.approx(n, rel=1e-10, abs=1e-10)
     assert w == pytest.approx(lam_top, rel=1e-10, abs=1e-10)
+
+
+# exact invariances: a rotation by e^{i phi} moves the extremum off the
+# grid, so a refinement that stops early or is skipped errs by ~1e-5
+
+def _ginibre(seed):
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(2, 7))
+    return rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)), rng
+
+
+def _complex_scalar(rng):
+    return float(np.exp(rng.uniform(-3, 3))) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(SEEDS)
+def test_radius_rotation_and_scaling(seed):
+    M, rng = _ginibre(seed)
+    c = _complex_scalar(rng)
+    w = numerical_radius(M)
+    assert numerical_radius(c * M) == pytest.approx(abs(c) * w, rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(SEEDS)
+def test_crawford_rotation_and_scaling(seed):
+    M, rng = _ginibre(seed)
+    # shift W(M) away from 0 so the Crawford number is of the size of M
+    M = M + rng.uniform(1.5, 3.0) * spectral_norm(M) * np.eye(M.shape[0])
+    c = _complex_scalar(rng)
+    d = crawford_number(M)
+    assert d > 0
+    assert crawford_number(c * M) == pytest.approx(abs(c) * d, rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(SEEDS)
+def test_radius_metric_scaling(seed):
+    sp, T, rng = random_space_op(seed)
+    scaled = build_space(float(np.exp(rng.uniform(-6, 6))) * sp.metric)
+    assert a_numerical_radius(scaled, T).value == pytest.approx(
+        a_numerical_radius(sp, T).value, rel=1e-10)
 
 
 def test_compressed_level_helpers():

@@ -3,6 +3,7 @@ import copy
 import pytest
 
 from opradius import EnsembleConfig, errors, inequalities, replay, run_fuzz
+from opradius.harness import build_kit
 
 
 def small_config(trials=30, seed=7):
@@ -69,16 +70,36 @@ def test_flagged_entries_never_fail_run(monkeypatch):
                                     for rec in report.flagged_findings)
 
 
-def test_replay_roundtrip():
+def test_replay_roundtrip(monkeypatch):
     cfg = EnsembleConfig(dims=[2, 3, 4], rank_policy="each", trials=120,
                          master_seed=42)
     report = run_fuzz(cfg, entry_filter=["TD1.stated", "RA1.stated"])
     assert report.flagged_findings
     rec = report.flagged_findings[0]
+    hashed = []
+    payload = inequalities.fingerprint_payload
+
+    def counting_payload(*args):
+        hashed.append(args[0])
+        return payload(*args)
+
+    monkeypatch.setattr(inequalities, "fingerprint_payload", counting_payload)
     rep = replay(rec)
     assert rep.status == "Violated"
     assert rep.lhs == rec["lhs"] and rep.rhs == rec["rhs"]
     assert rep.fingerprint == rec["fingerprint"]
+    assert hashed == [rec["entry"]]     # the verifying hash is reused
+
+
+def test_kit_covers_every_operand_kind():
+    cfg = small_config(trials=6)
+    for trial in range(cfg.trials):        # every family size
+        kit = build_kit(cfg, trial)
+        assert set(kit.operands) == set(inequalities.OPERAND_KINDS)
+        for kind, ops in kit.operands.items():
+            probe = inequalities.InequalityCatalogEntry(
+                id="probe", statement="", operand_kind=kind, evaluator=None)
+            inequalities._check_signature(probe, ops)
 
 
 def test_replay_rejects_tampering():
