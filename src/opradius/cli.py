@@ -89,6 +89,7 @@ def cmd_compute(args) -> int:
         doc = {
             "quantity": "radius", "value": r.value,
             "argmax_angle": r.argmax_angle, "gap": r.gap,
+            "lo": r.lo, "hi": r.hi,
             "witness": [[float(z.real), float(z.imag)] for z in r.witness],
         }
     elif q == "crawford":
@@ -197,8 +198,7 @@ def cmd_repro(args) -> int:
 
 def cmd_elliptic(args) -> int:
     ns = [int(p) for p in args.n.split(",") if p]
-    rows = elliptic.run_demo(ns, potential=args.potential,
-                             num_angles=args.angles)
+    rows = elliptic.run_demo(ns, potential=args.potential)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=2)
@@ -269,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="10,20,40")
     p.add_argument("--out")
     p.add_argument("--potential", choices=["sine", "zero"], default="sine")
-    p.add_argument("--angles", type=int, default=96,
-                   help="coarse sweep resolution for the radius")
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(fn=cmd_elliptic)
 

@@ -48,7 +48,7 @@ def potential_values(N: int, potential: str = "sine") -> np.ndarray:
     raise ConfigError(f"unknown potential {potential!r}")
 
 
-def run_case(N: int, potential: str = "sine", num_angles: int = 96) -> dict:
+def run_case(N: int, potential: str = "sine") -> dict:
     """Evaluate both sides of the bound at one mesh resolution.
 
     Works on compressions built directly from the metric eigenbasis:
@@ -67,8 +67,8 @@ def run_case(N: int, potential: str = "sine", num_angles: int = 96) -> dict:
     M_T = W * (s[:, None] / s[None, :])
     M_S = W / (s[:, None] * s[None, :])
     M_C = M_T @ M_S + M_S @ M_T
-    lhs = numerical_radius(M_C, num_angles=num_angles)
-    w_S = numerical_radius(M_S, num_angles=num_angles)
+    lhs = numerical_radius(M_C)
+    w_S = numerical_radius(M_S)
     vmax = float(np.abs(v).max())
     rhs = 2 * np.sqrt(2.0) * vmax * w_S
     return {
@@ -82,12 +82,12 @@ def run_case(N: int, potential: str = "sine", num_angles: int = 96) -> dict:
     }
 
 
-def run_demo(ns=(10, 20, 40), potential: str = "sine",
-             num_angles: int = 96) -> list[dict]:
+def run_demo(ns=(10, 20, 40), potential: str = "sine") -> list[dict]:
     """Run the bound check for each mesh resolution.
 
-    The default 96-angle sweep (still refined) matches the full
-    720-angle result to ~1e-10 here: the rotated top eigenvalue for this
-    operator family has only a couple of lobes across the circle.
+    Both radii come from the cutting-plane kernel of ``functionals``:
+    w_K(S) in closed form (M_S is symmetric), w_K(TS + ST) from a few
+    dozen evaluations of the rotated top eigenvalue (20 at N = 10, 44 at
+    N = 20), by the block subspace iteration above 128 rows (N >= 13).
     """
-    return [run_case(N, potential, num_angles) for N in ns]
+    return [run_case(N, potential) for N in ns]

@@ -5,17 +5,42 @@ adjointable operator the quadratic form ``<Tx, x>_A`` over the A-unit
 sphere equals ``<Mz, z>`` over the Euclidean unit sphere of C^r, so
 
     ||T||_A = sigma_max(M),
-    w_A(T)  = max_theta  lam_max(Re(e^{i theta} M)),
-    c_A(T)  = dist(0, W(M)) = max(0, -min_theta lam_max(Re(e^{-i theta} M))).
+    w_A(T)  = max_psi  h(psi),
+    c_A(T)  = dist(0, W(M)) = max(0, -min_psi h(psi)),
 
-Both sweeps find an extremum of one function, f(theta) = lam_max(cos(theta)
-H + sin(theta) K) for the Hermitian parts of M: a uniform grid locates
-it, and a bracketed root-finder on the slope f' (Hellmann-Feynman, from
-the top eigenvector each evaluation computes) refines it.  The radius's
-witness is the top eigenvector at the best angle the sweep evaluated.
+with the support function h(psi) = lam_max(Re(e^{-i psi} M)) of the
+numerical range W(M).  Each evaluation of h at psi gives a support line
+{p : Re(e^{-i psi} p) = h(psi)} of W(M) and, from its top eigenvector v,
+the support point v*Mv = e^{i psi} (h + i h') on it (Hellmann-Feynman).
+
+One cutting-plane kernel serves both extrema (C. R. Johnson 1978;
+F. Uhlig 2009).  The support lines bound an outer polygon that contains
+W(M); the support points span an inner polygon that W(M) contains.  After
+a batch of equally spaced seed angles, each step takes the gap between
+two adjacent evaluated angles that gives the worst bound: the farthest
+point of the outer polygon from 0 (radius), or the point of the inner
+polygon nearest to 0 (Crawford number).  If the slope h' changes sign
+across that gap, a bracketed root-finder narrows the extremum inside it
+(the hybrid of T. Mitchell 2023); otherwise h is evaluated in the
+direction of that point.  The steps stop once the enclosure ``[lo, hi]``
+is narrower than ``CUT_RTOL * hi`` plus a rounding allowance of
+``4 * err`` (``err`` bounds the error of one computed h), and the best
+angle evaluated is narrowed once more.
+
+``lo`` is the value itself: the best support line evaluated, attained
+by its eigenvector.  ``hi`` is the bound of the worst gap (radius), or
+the distance from 0 to the inner polygon (Crawford number; 0 when that
+polygon holds 0), each with its rounding allowance.  Where W(M) is
+close to a disk about 0 (a nilpotent shift, say), h is nearly constant
+and no polygon with few sides is tight: the steps stop at ``CUT_STEPS``
+with a wider enclosure, while the value is still the narrowed maximum.
 """
 from __future__ import annotations
 
+import bisect
+import cmath
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -24,16 +49,20 @@ import numpy as np
 from .errors import DegenerateSpaceWarning, NotInBA, UnboundedForm
 from .space import SemiHilbertSpace
 
-DEFAULT_ANGLES = 720
-# Refinement of the grid extrema: the best REFINE_PEAKS of them are
-# narrowed to angular width REFINE_WIDTH, in at most REFINE_STEPS
-# evaluations each.
-REFINE_PEAKS = 8
+# Cutting-plane kernel: SEED_ANGLES equally spaced support lines (at
+# least 4: _outer_gap needs gaps of at most pi/2), then at most CUT_STEPS
+# cuts until the enclosure is CUT_RTOL wide.
+SEED_ANGLES = 16
+CUT_RTOL = 1e-10
+CUT_STEPS = 64
+# A sign change of the slope is narrowed to angular width REFINE_WIDTH,
+# in at most REFINE_STEPS evaluations.
 REFINE_WIDTH = 1e-12
 REFINE_STEPS = 64
-# Above this size the per-angle top eigenvalue switches from the batched
-# dense path to a warm-started block subspace iteration.
+# Above this size the top eigenpair switches from dense solves to a
+# warm-started block subspace iteration.
 DENSE_SWEEP_MAX = 128
+_TWO_PI = 2 * math.pi
 
 
 @dataclass
@@ -42,17 +71,21 @@ class RadiusResult:
 
     ``witness`` is an A-unit vector x with |<Tx, x>_A| within ``gap`` of
     ``value``; ``argmax_angle`` is the rotation angle attaining the
-    supremum, in [0, 2*pi).
+    supremum, in [0, 2*pi).  ``[lo, hi]`` encloses the supremum: ``lo``
+    is the value itself, attained by the witness's support line, and
+    ``hi`` bounds it from above.
     """
 
     value: float
     argmax_angle: float
     witness: np.ndarray
     gap: float
+    lo: float
+    hi: float
 
 
 # ---------------------------------------------------------------------------
-# rotated top-eigenvalue sweeps on a compressed matrix
+# the cutting-plane kernel on a compressed matrix
 # ---------------------------------------------------------------------------
 
 def _split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -66,44 +99,51 @@ class _RotatedTop:
 
     A call returns ``(f, v, f')``: the value, its unit top eigenvector and,
     by Hellmann-Feynman, the slope ``f' = v*(cos(theta) R - sin(theta) P) v``.
-    Small matrices use dense solves (batched on the grid); large ones a
-    warm-started block subspace iteration (the block is carried between
-    nearby angles, so each evaluation needs only a few dense multiplies
-    and the rotated matrix is never formed: memory traffic dominates at
-    that size).
+    ``err`` bounds the error of a computed ``f``.  Small matrices use
+    dense solves (batched for the seed angles); large ones a warm-started
+    block subspace iteration (the block is carried between angles, so
+    each evaluation needs only a few dense multiplies and the rotated
+    matrix is never formed: memory traffic dominates at that size).
     """
 
     _BLOCK = 4
+    _BLOCK_TOL = 1e-10
 
     def __init__(self, P: np.ndarray, R: np.ndarray):
         self.P, self.R = P, R
         self.r = P.shape[0]
         self._V = None
-
-    def grid(self, angles: int) -> tuple[np.ndarray, np.ndarray]:
-        theta = np.linspace(0.0, 2 * np.pi, angles, endpoint=False)
+        # the residual test of _block_top bounds its error; a dense solve
+        # errs by a small multiple of eps * ||cos P + sin R||
+        scale = float(np.linalg.norm(P) + np.linalg.norm(R))
         if self.r <= DENSE_SWEEP_MAX:
-            vals = np.empty(angles)
-            block = max(1, 2_000_000 // max(self.r * self.r, 1))
-            for i in range(0, angles, block):
-                t = theta[i:i + block]
-                stack = (np.cos(t)[:, None, None] * self.P
-                         + np.sin(t)[:, None, None] * self.R)
-                vals[i:i + block] = np.linalg.eigvalsh(stack)[:, -1]
+            self.err = 8 * self.r * sys.float_info.epsilon * scale
         else:
-            vals = np.array([self._block_top(np.cos(t), np.sin(t))[0]
-                             for t in theta])
-        return theta, vals
+            self.err = self._BLOCK_TOL * max(1.0, scale)
+
+    def batch(self, theta: np.ndarray) -> list[tuple[float, np.ndarray, float]]:
+        """``[self(t) for t in theta]``, as one batched solve when dense."""
+        if self.r > DENSE_SWEEP_MAX:
+            return [self(t) for t in theta]
+        c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+        w, U = np.linalg.eigh(c[:, :, None] * self.P + s[:, :, None] * self.R)
+        V = U[:, :, -1]                     # row k: top eigenvector at theta[k]
+        slope = np.einsum("ki,ki->k", V.conj(),
+                          c * (V @ self.R.T) - s * (V @ self.P.T)).real
+        return list(zip(w[:, -1].tolist(), V, slope.tolist()))
 
     def __call__(self, theta: float) -> tuple[float, np.ndarray, float]:
-        c, s = np.cos(theta), np.sin(theta)
+        c, s = math.cos(theta), math.sin(theta)
         if self.r <= DENSE_SWEEP_MAX:
             w, U = np.linalg.eigh(c * self.P + s * self.R)
             lam, v = float(w[-1]), U[:, -1]
         else:
             lam, v = self._block_top(c, s)
-        slope = float(np.vdot(v, c * (self.R @ v) - s * (self.P @ v)).real)
-        return lam, v, slope
+        # f = c v*Pv + s v*Rv gives one form from the other, so the slope
+        # c v*Rv - s v*Pv needs only the form whose weight is larger
+        if abs(c) >= abs(s):
+            return lam, v, (float(np.vdot(v, self.R @ v).real) - s * lam) / c
+        return lam, v, (c * lam - float(np.vdot(v, self.P @ v).real)) / s
 
     def _start_block(self) -> np.ndarray:
         b = min(self._BLOCK, self.r)
@@ -111,8 +151,9 @@ class _RotatedTop:
         V = rng.standard_normal((self.r, b)) + 1j * rng.standard_normal((self.r, b))
         return np.linalg.qr(V)[0]
 
-    def _block_top(self, c: float, s: float, tol: float = 1e-10,
+    def _block_top(self, c: float, s: float,
                    maxiter: int = 400) -> tuple[float, np.ndarray]:
+        tol = self._BLOCK_TOL
         V = self._V
         if V is None:
             V = self._start_block()
@@ -161,43 +202,151 @@ def _illinois(g, a: float, ga: float, b: float, gb: float) -> None:
             kept = -1
 
 
-def _sweep_extremum(top: _RotatedTop, angles: int,
-                    maximize: bool) -> tuple[float, float, np.ndarray]:
-    """Extremum of f over the circle as ``(theta, f, top eigenvector)``.
+def _outer_gap(pa: float, ha: float, za: complex, pb: float, hb: float,
+               zb: complex, err: float) -> tuple[float, float]:
+    """Upper bound on |p| over W(M) between two adjacent support lines, and
+    the direction of the point that gives it.
 
-    The best REFINE_PEAKS local extrema of the uniform grid are refined:
-    ``g = sign * f'`` changes sign from + to - at each of them, so the
-    extremum lies within one grid step on the side the slope at its grid
-    angle points to.  The best point evaluated wins; the best grid angle
-    is among them, so refinement never loses to the grid.
+    Line a is {p : Re(e^{-i pa} p) = ha} with the support point za on it;
+    line b is turned from it by d <= pi / 2.  They meet at the vertex
+    e^{i pa} (ha + i s) of the outer polygon, and between them W(M) lies
+    in the triangle that the chord za zb cuts off at that vertex.  That
+    bounds |p| twice: by the modulus of the vertex plus its rounding
+    allowance, which grows like err / d as the lines turn parallel, and
+    by max |z| on the chord plus the apex height, at most
+    |zb - za| tan(d/2) / 2.
+    """
+    d = (pb - pa) % _TWO_PI
+    sin_d = math.sin(d)
+    s = ((hb - ha) + 2 * ha * math.sin(d / 2) ** 2) / sin_d
+    mod = math.hypot(ha, s)
+    e = 2 * err / sin_d                 # bound on the rounding of s
+    vertex = mod + ((abs(ha) * err + abs(s) * e + (err * err + e * e) / 2)
+                    / max(mod, err))
+    chord = (max(abs(za), abs(zb)) + abs(zb - za) / 2 * math.tan(d / 2)
+             + 2 * err)
+    if chord < vertex:
+        return chord, cmath.phase(za if abs(za) > abs(zb) else zb)
+    return vertex, pa + math.atan2(s, ha)
+
+
+def _inner_gap(za: complex, zb: complex) -> tuple[float, float, float]:
+    """Distance from 0 to the chord za zb of the inner polygon, the
+    direction from its nearest point towards 0 (any, if 0 is on the
+    chord), and the angle the chord turns about 0."""
+    e = zb - za
+    ee = e.real * e.real + e.imag * e.imag
+    t = min(1.0, max(0.0, -(e.conjugate() * za).real / ee)) if ee > 0 else 0.0
+    q = za + t * e
+    if q == 0:
+        return 0.0, 0.0, 0.0
+    return abs(q), cmath.phase(-q), cmath.phase(zb / za)
+
+
+def _extremum(top: _RotatedTop,
+              maximize: bool) -> tuple[float, float, np.ndarray, float]:
+    """Extremum of f over the circle as ``(psi, f, top eigenvector, hi)``.
+
+    With f the support function h of W(M), maximizing gives the numerical
+    radius and minimizing gives -(the Crawford number) when that is
+    positive; ``hi`` bounds the radius, or the Crawford number, from
+    above.  See the module docstring for the method.
     """
     sign = 1.0 if maximize else -1.0
-    theta, vals = top.grid(angles)
-    g = sign * vals
-    peaks = np.flatnonzero((g >= np.roll(g, 1)) & (g >= np.roll(g, -1)))
-    peaks = peaks[np.argsort(g[peaks])[::-1][:REFINE_PEAKS]]
-    best = (0.0, -np.inf, None)         # (theta, sign * f, v)
+    err = top.err
+    # evaluated angles, ascending in [0, 2 pi), with their support values,
+    # slopes and points; gap k lies between angles k and k+1 (cyclically)
+    psi: list[float] = []
+    h: list[float] = []
+    dh: list[float] = []
+    z: list[complex] = []
+    # per gap: the bound it gives, the direction to cut it and (Crawford
+    # number) the angle its chord turns about 0
+    bound: list[float] = []
+    aim: list[float] = []
+    turn: list[float] = []
+    best = (0.0, -math.inf, None, 0.0)     # (psi, sign * f, v, sign * f')
 
-    def slope(t: float) -> float:
+    def gap(k: int) -> None:
+        j = (k + 1) % len(psi)
+        if maximize:
+            bound[k], aim[k] = _outer_gap(psi[k], h[k], z[k], psi[j], h[j],
+                                          z[j], err)
+        else:
+            bound[k], aim[k], turn[k] = _inner_gap(z[k], z[j])
+
+    def record(t: float, f: float, v: np.ndarray, df: float) -> float:
         nonlocal best
-        f, v, df = top(t)
+        t %= _TWO_PI
+        j = bisect.bisect_left(psi, t)
+        if j == len(psi) or psi[j] != t:
+            for seq, x in ((psi, t), (h, f), (dh, df),
+                           (z, cmath.rect(1.0, t) * complex(f, df)),
+                           (bound, 0.0), (aim, 0.0), (turn, 0.0)):
+                seq.insert(j, x)
+            if len(psi) > SEED_ANGLES:      # the seeds' gaps are set below
+                gap(j - 1 if j else len(psi) - 1)
+                gap(j)
         if sign * f > best[1]:
-            best = (t, sign * f, v)
+            best = (t, sign * f, v, sign * df)
         return sign * df
 
-    step = 2 * np.pi / angles
-    for i in peaks:
-        t0 = float(theta[i])
-        g0 = slope(t0)
-        if g0 == 0.0:
-            continue
-        t1 = t0 + np.copysign(step, g0)
-        g1 = slope(t1)
-        if g0 * g1 < 0:
-            lo, hi = sorted(((t0, g0), (t1, g1)))
-            _illinois(slope, *lo, *hi)
-    t, f, v = best
-    return float(t) % (2 * np.pi), sign * f, v
+    def slope(t: float) -> float:
+        return record(t, *top(t))
+
+    seeds = np.arange(SEED_ANGLES) * (_TWO_PI / SEED_ANGLES)
+    for t, (f, v, df) in zip(seeds.tolist(), top.batch(seeds)):
+        record(t, f, v, df)
+    for k in range(SEED_ANGLES):
+        gap(k)
+
+    for step in range(CUT_STEPS + 1):
+        if maximize:
+            hi = max(bound)
+            k = bound.index(hi)
+            lo = best[1]
+        else:
+            hi = min(bound)
+            k = bound.index(hi)
+            # with 0 off the chords, the inner polygon holds it exactly when
+            # it winds around it
+            if hi == 0 or sum(turn) > math.pi:
+                hi = 0.0
+            else:
+                hi += 2 * err
+            lo = max(0.0, best[1])
+        if hi - lo <= CUT_RTOL * hi + 4 * err or step == CUT_STEPS:
+            break
+        # cut the gap that attains the bound: narrow a local extremum
+        # inside it, else evaluate towards its aim
+        n = len(psi)
+        j = (k + 1) % n
+        a = psi[k]
+        b = a + (psi[j] - a) % _TWO_PI
+        ga, gb = sign * dh[k], sign * dh[j]
+        if ga > 0 > gb:
+            _illinois(slope, a, ga, b, gb)
+        if len(psi) == n:
+            slope(aim[k])
+        if len(psi) == n:       # every angle tried was evaluated before
+            break
+
+    # finish: narrow the best angle to the sign change of the slope between
+    # it and the neighbouring angle its slope points to
+    t0, _, _, g0 = best
+    if maximize or best[1] > 0:
+        k = bisect.bisect_left(psi, t0)
+        if g0 > 0:
+            j = (k + 1) % len(psi)
+            t1 = t0 + (psi[j] - t0) % _TWO_PI
+        else:
+            j = k - 1
+            t1 = t0 - (t0 - psi[j]) % _TWO_PI
+        ends = sorted(((t0, g0), (t1, sign * dh[j])))
+        if ends[0][1] > 0 > ends[1][1]:
+            _illinois(slope, *ends[0], *ends[1])
+    t, f, v, _ = best
+    return t, sign * f, v, hi
 
 
 # ---------------------------------------------------------------------------
@@ -211,59 +360,55 @@ def spectral_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
 
-def numerical_radius(M: np.ndarray, num_angles: int = DEFAULT_ANGLES,
-                     want_witness: bool = False):
-    """Classical numerical radius of a square matrix via rotation sweep.
-
-    Returns the value, or ``(value, theta, eigvec, gap)`` with
-    ``want_witness=True``.
-    """
+def _radius(M: np.ndarray) -> tuple[float, float, np.ndarray, float]:
+    """Numerical radius as ``(value, theta, eigvec, hi)``: the supremum is
+    attained by the top eigenvector of Re(e^{i theta} M), and ``hi``
+    bounds it from above."""
     M = np.asarray(M, dtype=complex)
     r = M.shape[0]
     if r == 0:
-        return (0.0, 0.0, np.zeros(0, complex), 0.0) if want_witness else 0.0
+        return 0.0, 0.0, np.zeros(0, complex), 0.0
     if r == 1:
         m = complex(M[0, 0])
         val = abs(m)
         theta = float(-np.angle(m)) % (2 * np.pi) if val > 0 else 0.0
-        if want_witness:
-            return val, theta, np.ones(1, dtype=complex), 0.0
-        return val
+        return val, theta, np.ones(1, dtype=complex), val
     H, K = _split(M)
     scale = max(1.0, float(np.linalg.norm(M)))
     if np.linalg.norm(K) <= 1e-12 * scale:
-        # Hermitian: the sweep peaks exactly at theta = 0 or pi.
+        # Hermitian: the support function peaks exactly at theta = 0 or pi.
         w, V = np.linalg.eigh(H.real if not H.imag.any() else H)
         if abs(w[-1]) >= abs(w[0]):
             val, theta, vec = float(abs(w[-1])), 0.0, V[:, -1]
         else:
             val, theta, vec = float(abs(w[0])), float(np.pi), V[:, 0]
-        if want_witness:
-            return val, theta, vec, 1e-12 * scale
-        return val
-    # Re(e^{i theta} M) = cos(theta) H - sin(theta) K
-    top = _RotatedTop(H, -K)
-    theta, val, vec = _sweep_extremum(top, num_angles, maximize=True)
-    if not want_witness:
-        return val
-    form = complex(vec.conj() @ (M @ vec))
-    gap = abs(val - abs(form)) + 1e-12 * scale
-    return val, theta, vec, gap
+        return val, theta, vec, val
+    # Re(e^{i theta} M) is the support function's matrix at psi = -theta
+    psi, val, vec, hi = _extremum(_RotatedTop(H, K), maximize=True)
+    return val, -psi % (2 * np.pi), vec, hi
+
+
+def numerical_radius(M: np.ndarray) -> float:
+    """Classical numerical radius of a square matrix."""
+    return _radius(M)[0]
+
+
+def _crawford(M: np.ndarray) -> tuple[float, float]:
+    """Crawford number as ``(value, hi)``, ``hi`` bounding it from above."""
+    M = np.asarray(M, dtype=complex)
+    r = M.shape[0]
+    if r == 0:
+        return 0.0, 0.0
+    if r == 1:
+        val = abs(complex(M[0, 0]))
+        return val, val
+    _, h_min, _, hi = _extremum(_RotatedTop(*_split(M)), maximize=False)
+    return max(0.0, -h_min), hi
 
 
 def crawford_number(M: np.ndarray) -> float:
     """Distance from the origin to the (convex) numerical range of M."""
-    M = np.asarray(M, dtype=complex)
-    r = M.shape[0]
-    if r == 0:
-        return 0.0
-    if r == 1:
-        return abs(complex(M[0, 0]))
-    H, K = _split(M)
-    # support function h(theta) = lam_max(Re(e^{-i theta} M))
-    top = _RotatedTop(H, K)
-    _, h_min, _ = _sweep_extremum(top, DEFAULT_ANGLES, maximize=False)
-    return max(0.0, -h_min)
+    return _crawford(M)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +428,23 @@ def operator_a_norm(space: SemiHilbertSpace, T) -> float:
 
 
 def a_numerical_radius(space: SemiHilbertSpace, T) -> RadiusResult:
-    """Numerical radius w_A(T) with maximizing angle and witness vector."""
+    """Numerical radius w_A(T) with maximizing angle, witness vector and
+    enclosure."""
     M = _compression_or_raise(space, T, UnboundedForm)
     if space.rank == 0:
         warnings.warn("rank-zero metric: all functionals vanish",
                       DegenerateSpaceWarning, stacklevel=2)
-        return RadiusResult(0.0, 0.0, np.zeros(space.dim, complex), 0.0)
-    val, theta, vec, gap = numerical_radius(M, want_witness=True)
+        return RadiusResult(0.0, 0.0, np.zeros(space.dim, complex), 0.0,
+                            0.0, 0.0)
+    val, theta, vec, hi = _radius(M)
+    form = complex(vec.conj() @ (M @ vec))
+    gap = abs(val - abs(form)) + 1e-12 * max(1.0, float(np.linalg.norm(M)))
     x = space.lift_vector(vec)
     nx = space.a_norm(x)
     if nx > 0:
         x = x / nx
-    return RadiusResult(value=val, argmax_angle=theta, witness=x, gap=gap)
+    return RadiusResult(value=val, argmax_angle=theta, witness=x, gap=gap,
+                        lo=val, hi=hi)
 
 
 def a_crawford(space: SemiHilbertSpace, T) -> float:

@@ -59,6 +59,8 @@ def test_compute_radius_includes_witness(files, capsys):
     doc = json.loads(out)
     assert doc["value"] == pytest.approx((1 + np.sqrt(5)) / 2, abs=1e-9)
     assert len(doc["witness"]) == 2 and "argmax_angle" in doc
+    assert doc["lo"] <= doc["value"] <= doc["hi"]
+    assert doc["hi"] - doc["lo"] <= 1e-9
 
 
 def test_compute_membership_failure_exit3(files, capsys):

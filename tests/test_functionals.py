@@ -9,6 +9,7 @@ from opradius import (
     build_space,
     crawford_number,
     errors,
+    functionals,
     numerical_radius,
     operator_a_norm,
     random_a_unitary,
@@ -136,13 +137,17 @@ def test_radius_hermitian_compression_shortcut():
     res = a_numerical_radius(sp, H)
     assert res.value == pytest.approx(3.0, abs=1e-12)
     assert res.argmax_angle == pytest.approx(np.pi)
+    assert res.lo == res.hi == res.value
+    # rank one: the compression is the 1x1 matrix <T e, e>
+    res = a_numerical_radius(build_space(np.ones((2, 2))), 1j * np.eye(2))
+    assert res.lo == res.hi == res.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_radius_rank_zero_metric_warns():
     sp = build_space(np.zeros((2, 2)))
     with pytest.warns(errors.DegenerateSpaceWarning):
         res = a_numerical_radius(sp, np.eye(2))
-    assert res.value == 0.0
+    assert res.value == res.lo == res.hi == 0.0
 
 
 # -- Crawford number --------------------------------------------------------
@@ -354,3 +359,102 @@ def test_compressed_level_helpers():
     assert spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2))
     assert numerical_radius(np.zeros((0, 0))) == 0.0
     assert numerical_radius(np.array([[2j]])) == pytest.approx(2.0)
+
+
+# -- cutting-plane kernel ---------------------------------------------------
+# W(M) is moved off-centre by a shift c e^{i phi} with |c| up to 4 ||M||
+
+def _shifted(seed):
+    M, rng = _ginibre(seed)
+    c = rng.uniform(0.0, 4.0) * spectral_norm(M) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    return M + c * np.eye(M.shape[0])
+
+
+def _support_grid(M, angles):
+    H = (M + M.conj().T) / 2
+    K = (M - M.conj().T) / 2j
+    th = np.linspace(0.0, 2 * np.pi, angles, endpoint=False)
+    return th, np.linalg.eigvalsh(np.cos(th)[:, None, None] * H
+                                  + np.sin(th)[:, None, None] * K)[:, -1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(SEEDS)
+def test_radius_enclosure_off_centre(seed):
+    # the sweep value is a supremum, so no grid angle may beat it; a
+    # polygon that loses a support line reports a value below the grid
+    M = _shifted(seed)
+    sp = build_space(np.eye(M.shape[0]))
+    res = a_numerical_radius(sp, M)
+    grid = _support_grid(M, 4000)[1].max()
+    assert res.value >= grid - 1e-12 * max(1.0, res.value)
+    assert res.lo <= res.value <= res.hi
+    # no sampled unit vector gets above the enclosure
+    assert sampling_oracle(sp, M, samples=2000, seed=seed) <= res.hi
+
+
+def _golden_min(f, a, b, steps=100):
+    g = (np.sqrt(5) - 1) / 2
+    for _ in range(steps):
+        c, d = b - g * (b - a), a + g * (b - a)
+        if f(c) < f(d):
+            b = d
+        else:
+            a = c
+    return f((a + b) / 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(SEEDS)
+def test_crawford_enclosure_off_centre(seed):
+    # brute force: the least of 20,000 support values, polished inside
+    # its grid cell; aiming a cut at a point the outer polygon already
+    # bounds stalls well above it
+    M = _shifted(seed)
+    th, h = _support_grid(M, 20_000)
+    k = int(h.argmin())
+    H, K = (M + M.conj().T) / 2, (M - M.conj().T) / 2j
+
+    def f(t):
+        return np.linalg.eigvalsh(np.cos(t) * H + np.sin(t) * K)[-1]
+
+    brute = max(0.0, -min(h[k], _golden_min(f, th[k] - th[1], th[k] + th[1])))
+    value, hi = functionals._crawford(M)
+    assert value == pytest.approx(brute, abs=1e-9 * max(1.0, brute))
+    assert value <= hi
+    assert hi - value <= 1e-10 * hi + 1e-12 * np.linalg.norm(M)
+    assert crawford_number(M) == value
+
+
+def test_enclosure_certified_for_polygonal_range():
+    # W(M) is the triangle 3, 3i, -2 rotated by 0.3: the radius sits at
+    # the vertex e^{0.3i} 3, which two support lines pin down exactly,
+    # and 0 lies inside, which the support points' polygon certifies
+    M = np.exp(0.3j) * np.diag([3, 3j, -2, 1 + 1j])
+    res = a_numerical_radius(build_space(np.eye(4)), M)
+    assert res.value == pytest.approx(3.0, abs=1e-12)
+    assert res.lo <= res.value <= res.hi
+    assert res.hi - res.lo <= 1e-10 * res.hi + 1e-12 * np.linalg.norm(M)
+    assert functionals._crawford(M) == (0.0, 0.0)
+
+
+def test_radius_evaluation_count(monkeypatch):
+    # a dense angle grid costs hundreds of eigensolves per call; the
+    # cutting planes need about 30, seed angles included
+    counts = []
+    call, batch = functionals._RotatedTop.__call__, functionals._RotatedTop.batch
+
+    def counted_call(self, t):
+        counts[-1] += 1
+        return call(self, t)
+
+    def counted_batch(self, theta):
+        counts[-1] += len(theta)
+        return batch(self, theta)
+
+    monkeypatch.setattr(functionals._RotatedTop, "__call__", counted_call)
+    monkeypatch.setattr(functionals._RotatedTop, "batch", counted_batch)
+    for seed in range(200):
+        counts.append(0)
+        numerical_radius(_shifted(seed) if seed % 2 else _ginibre(seed)[0])
+    assert max(counts) <= 100, sorted(counts)[-5:]
