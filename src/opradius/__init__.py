@@ -26,7 +26,6 @@ from .functionals import (
     crawford_number,
     numerical_radius,
     operator_a_norm,
-    range_boundary,
     sampling_oracle,
     spectral_norm,
 )
@@ -39,17 +38,13 @@ from .inequalities import (
     list_catalog,
 )
 from .numkernel import (
-    HermitianEigen,
     hermitian_eig,
     load_matrix,
     matrix_from_json,
     matrix_to_json,
-    pseudo_inverse,
-    psd_sqrt,
     real_spectrum_power,
 )
 from .space import (
-    CompressedOperator,
     OperatorClassification,
     SemiHilbertSpace,
     build_space,
@@ -59,9 +54,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EnsembleConfig",
-    "CompressedOperator",
     "FuzzReport",
-    "HermitianEigen",
     "InequalityCatalogEntry",
     "MarginReport",
     "OperatorClassification",
@@ -81,8 +74,6 @@ __all__ = [
     "matrix_to_json",
     "numerical_radius",
     "operator_a_norm",
-    "pseudo_inverse",
-    "psd_sqrt",
     "random_a_normal",
     "random_a_positive",
     "random_a_selfadjoint",
@@ -91,7 +82,6 @@ __all__ = [
     "random_in_BA",
     "random_psd",
     "random_space",
-    "range_boundary",
     "real_spectrum_power",
     "replay",
     "run_fuzz",

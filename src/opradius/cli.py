@@ -99,7 +99,7 @@ def cmd_compute(args) -> int:
     elif q == "classify":
         doc = {"quantity": "classify", **space.classify(T).as_dict()}
     elif q == "compress":
-        doc = {"quantity": "compress", **matrix_to_json(space.compress(T).M)}
+        doc = {"quantity": "compress", **matrix_to_json(space.compression(T))}
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown quantity {q!r}")
     _emit(doc)

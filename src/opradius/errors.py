@@ -30,11 +30,6 @@ class ComplexSpectrum(OpRadiusError):
     """Raised when a real spectrum is required but eigenvalues are complex."""
 
 
-class NegativeBase(OpRadiusError):
-    """Raised for fractional powers of negative eigenvalues with the
-    signed-branch policy disabled."""
-
-
 class DimensionMismatch(OpRadiusError):
     """Raised when operand shapes do not match the space dimension."""
 

@@ -1,4 +1,4 @@
-"""Seminorm, numerical radius, Crawford number and range boundary.
+"""Seminorm, numerical radius and Crawford number.
 
 Every functional is evaluated on the compression ``M = M_r(T)``: for an
 adjointable operator the quadratic form ``<Tx, x>_A`` over the A-unit
@@ -168,12 +168,12 @@ class _RotatedTop:
                 self._V = V
                 return lam, top_vec
             V = np.linalg.qr(W)[0]
-        from scipy.linalg import eigh as dense_eigh  # pragma: no cover
+        from scipy.linalg import eigh as dense_eigh
 
-        self._V = V  # pragma: no cover
-        H = c * self.P + s * self.R  # pragma: no cover
-        w, U = dense_eigh(H, subset_by_index=[self.r - 1, self.r - 1])  # pragma: no cover
-        return float(w[0]), U[:, 0]  # pragma: no cover
+        self._V = V
+        H = c * self.P + s * self.R
+        w, U = dense_eigh(H, subset_by_index=[self.r - 1, self.r - 1])
+        return float(w[0]), U[:, 0]
 
 
 def _illinois(g, a: float, ga: float, b: float, gb: float) -> None:
@@ -455,27 +455,6 @@ def a_crawford(space: SemiHilbertSpace, T) -> float:
                       DegenerateSpaceWarning, stacklevel=2)
         return 0.0
     return crawford_number(M)
-
-
-def range_boundary(space: SemiHilbertSpace, T,
-                   num_angles: int) -> list[tuple[float, float, complex]]:
-    """Support values and boundary points of the compressed range.
-
-    For each theta on a uniform grid returns
-    ``(theta, h(theta), <M v, v>)`` where ``h`` is the support function
-    ``lam_max(Re(e^{-i theta} M))`` and ``v`` its top eigenvector.
-    """
-    M = _compression_or_raise(space, T, UnboundedForm)
-    out: list[tuple[float, float, complex]] = []
-    if space.rank == 0:
-        return out
-    H, K = _split(M)
-    for theta in np.linspace(0.0, 2 * np.pi, num_angles, endpoint=False):
-        Ht = np.cos(theta) * H + np.sin(theta) * K
-        w, V = np.linalg.eigh(Ht)
-        v = V[:, -1]
-        out.append((float(theta), float(w[-1]), complex(v.conj() @ (M @ v))))
-    return out
 
 
 def sampling_oracle(space: SemiHilbertSpace, T, samples: int, seed) -> float:

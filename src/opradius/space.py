@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonSquare, NotInBA, NotPSD
+from .errors import ConfigError, DimensionMismatch, NonSquare, NotInBA, NotPSD
 from .numkernel import as_matrix, frobenius, hermitian_eig
 
 DEFAULT_TOL = 1e-10
@@ -34,8 +34,6 @@ class OperatorClassification:
     a_positive: bool
     a_normal: bool
     a_unitary: bool
-    membership_residual: float = 0.0
-    membership_threshold: float = 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -45,14 +43,6 @@ class OperatorClassification:
             "a_normal": self.a_normal,
             "a_unitary": self.a_unitary,
         }
-
-
-@dataclass
-class CompressedOperator:
-    """The r x r reduction of an operator to the range of the metric."""
-
-    r: int
-    M: np.ndarray
 
 
 @dataclass
@@ -79,12 +69,15 @@ class SemiHilbertSpace:
 
     @staticmethod
     def from_metric(A, tol: float = DEFAULT_TOL) -> "SemiHilbertSpace":
+        # a cutoff >= 1 drops every eigenvalue, a negative one calls a PSD
+        # metric negative, and NaN makes every comparison below false
+        if not 0.0 <= tol < 1.0:
+            raise ConfigError(f"space tolerance {tol!r} is not in [0, 1)")
         A = as_matrix(A)
         n = A.shape[0]
         if A.shape[0] != A.shape[1]:
             raise NonSquare(f"metric is {A.shape[0]}x{A.shape[1]}")
-        eig = hermitian_eig(A, tol=1e-8)
-        w, V = eig.eigenvalues, eig.eigenvectors
+        w, V = hermitian_eig(A)
         lam_max = max(float(w[-1]), 0.0) if n else 0.0
         if n and float(w[0]) < -tol * max(lam_max, 1e-300):
             raise NotPSD(f"metric eigenvalue {w[0]:.3e} is negative")
@@ -154,10 +147,6 @@ class SemiHilbertSpace:
         thr = self.tol * (1.0 + frobenius(T) * frobenius(self.metric))
         return res, thr
 
-    def in_BA(self, T) -> bool:
-        res, thr = self.membership_residual(T)
-        return res <= thr
-
     def require_member(self, T, exc_type=NotInBA,
                        lead: str = "operator maps null(A) outside null(A)",
                        tail: str = "") -> np.ndarray:
@@ -181,9 +170,6 @@ class SemiHilbertSpace:
             T = T.real  # keep real inputs on the fast real BLAS path
         core = self.Q.conj().T @ T @ self.Q
         return core * (self._sqrt_lam[:, None] / self._sqrt_lam[None, :])
-
-    def compress(self, T) -> CompressedOperator:
-        return CompressedOperator(r=self.rank, M=self.compression(T))
 
     def classify(self, T) -> OperatorClassification:
         T = self._check_operator(T)
@@ -213,7 +199,6 @@ class SemiHilbertSpace:
         return OperatorClassification(
             in_BA=member, a_selfadjoint=selfadj, a_positive=positive,
             a_normal=normal, a_unitary=unitary,
-            membership_residual=res, membership_threshold=thr,
         )
 
     def sharp_adjoint(self, T) -> np.ndarray:

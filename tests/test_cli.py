@@ -1,12 +1,16 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from opradius.cli import main
-from opradius.numkernel import matrix_to_json
+from opradius.numkernel import load_matrix, matrix_to_json
 
 A_PD = [[1, -1], [-1, 2]]
+DATA = Path(__file__).resolve().parents[1] / "data"
+# space tolerances outside [0, 1): each must exit 2, not truncate the metric
+BAD_TOLS = [float("nan"), float("inf"), float("-inf"), -1.0, 1.0, 1.5]
 
 
 def write_matrix(path, M, extra=None):
@@ -63,6 +67,26 @@ def test_compute_radius_includes_witness(files, capsys):
     assert doc["hi"] - doc["lo"] <= 1e-9
 
 
+def test_compute_compress_data_files(capsys):
+    space, op = DATA / "space_pd.json", DATA / "op_T.json"
+    code, out = run(capsys, ["compute", "--space", str(space), "--op", str(op),
+                             "--quantity", "compress"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["quantity"] == "compress"
+    got = np.array([complex(re, im) for re, im in doc["data"]])
+    got = got.reshape(doc["rows"], doc["cols"])
+    # Lam^{1/2} Q* T Q Lam^{-1/2} with each column of Q turned so that its
+    # first nonzero entry is real positive, the convention of the space
+    lam, Q = np.linalg.eigh(load_matrix(space))
+    first = Q[np.argmax(np.abs(Q) > 1e-12, axis=0), np.arange(Q.shape[1])]
+    Q = Q * (first.conj() / abs(first))
+    half = np.sqrt(lam)
+    expect = half[:, None] * (Q.conj().T @ load_matrix(op) @ Q) / half[None, :]
+    assert got.shape == (2, 2)
+    assert np.allclose(got, expect, atol=1e-12)
+
+
 def test_compute_membership_failure_exit3(files, capsys):
     code = main(["compute", "--space", files["diag10"],
                  "--op", files["sx"], "--quantity", "radius"])
@@ -87,7 +111,7 @@ def test_compute_bad_file_exit2(files, capsys):
     assert code == 2
     assert "byte offset" in err
     # valid JSON with the wrong shape or types: not an object, a null tol,
-    # data entries that are not [re, im] number pairs
+    # data entries that are not [re, im] number pairs, a tol outside [0, 1)
     tmp = files["tmp"]
     array = tmp / "array.json"
     array.write_text("[[1, 0], [0, 1]]")
@@ -96,9 +120,12 @@ def test_compute_bad_file_exit2(files, capsys):
     flat.write_text(json.dumps({"rows": 2, "cols": 2, "data": [1, 0, 0, 1]}))
     words = tmp / "words.json"
     words.write_text(json.dumps({"rows": 1, "cols": 1, "data": [["a", "b"]]}))
+    bad_tols = [write_matrix(tmp / f"tol{k}.json", A_PD, extra={"tol": tol})
+                for k, tol in enumerate(BAD_TOLS)]
     for space, op in [(str(array), files["T"]), (null_tol, files["T"]),
                       (str(flat), files["T"]), (files["space"], str(flat)),
-                      (files["space"], str(words))]:
+                      (files["space"], str(words)),
+                      *((path, files["T"]) for path in bad_tols)]:
         code = main(["compute", "--space", space, "--op", op,
                      "--quantity", "norm"])
         err = capsys.readouterr().err
@@ -255,10 +282,18 @@ def test_space_file_tol_override(tmp_path, capsys):
 
 
 def test_env_tol_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("OPRADIUS_TOL", "1e-3")
     space = write_matrix(tmp_path / "s.json", [[1, 0], [0, 1e-6]])
     op = write_matrix(tmp_path / "op.json", [[0, 0], [0, 1]])
-    code, out = run(capsys, ["compute", "--space", space, "--op", op,
-                             "--quantity", "norm"])
-    assert code == 0
-    assert json.loads(out)["value"] == pytest.approx(0.0, abs=1e-9)
+    argv = ["compute", "--space", space, "--op", op, "--quantity", "norm"]
+    # a coarse tol truncates the metric to rank 1, tol 0 keeps both
+    for tol, norm in [("1e-3", 0.0), ("0", 1.0)]:
+        monkeypatch.setenv("OPRADIUS_TOL", tol)
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(norm, abs=1e-9)
+    for tol in BAD_TOLS:
+        monkeypatch.setenv("OPRADIUS_TOL", str(tol))
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, tol
+        assert "tolerance" in err

@@ -15,7 +15,6 @@ from opradius import (
     random_a_unitary,
     random_in_BA,
     random_psd,
-    range_boundary,
     sampling_oracle,
     spectral_norm,
 )
@@ -198,33 +197,6 @@ def test_crawford_origin_inside_range_dense_sweep():
     "function is overestimated (returns 9.74 here)"))
 def test_crawford_origin_inside_range_block_sweep():
     assert crawford_number(_strip_diagonal(129)) == pytest.approx(0.0, abs=1e-9)
-
-
-# -- range boundary ---------------------------------------------------------
-
-def test_range_boundary_hermitian():
-    sp = build_space(np.eye(2))
-    H = np.diag([1.0, 4.0])
-    rows = range_boundary(sp, H, 8)
-    assert rows[0][1] == pytest.approx(4.0, abs=1e-12)  # h(0) = lam_max
-    for _, _, point in rows:
-        assert abs(point.imag) < 1e-9
-
-
-def test_range_boundary_nilpotent_disk():
-    sp = build_space(np.eye(2))
-    shift = np.array([[0, 1], [0, 0]], float)
-    rows = range_boundary(sp, shift, 16)
-    for _, support, point in rows:
-        assert support == pytest.approx(0.5, abs=1e-9)
-        assert abs(point) <= 0.5 + 1e-9
-
-
-def test_range_boundary_within_radius():
-    sp, T, _ = random_space_op(555)
-    rad = a_numerical_radius(sp, T).value
-    for _, _, point in range_boundary(sp, T, 32):
-        assert abs(point) <= rad + 1e-9
 
 
 # -- sampling oracle --------------------------------------------------------

@@ -132,6 +132,12 @@ def test_replay_rejects_tampering():
     skewed["space"]["metric"]["data"][1][0] += 1.0
     with pytest.raises(errors.CorruptRecord, match="malformed"):
         replay(skewed)
+    # a space tolerance outside [0, 1)
+    for tol in (float("nan"), float("inf"), -1.0, 1.5):
+        bad_tol = copy.deepcopy(report.flagged_findings[0])
+        bad_tol["space"]["tol"] = tol
+        with pytest.raises(errors.CorruptRecord, match="malformed"):
+            replay(bad_tol)
 
 
 def test_replay_tolerance_band_flip():

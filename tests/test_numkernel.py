@@ -17,20 +17,20 @@ def random_hermitian(seed, n=None):
 
 
 def test_eig_identity():
-    eig = nk.hermitian_eig(np.eye(3))
-    assert np.allclose(eig.eigenvalues, [1, 1, 1])
+    w, _ = nk.hermitian_eig(np.eye(3))
+    assert np.allclose(w, [1, 1, 1])
 
 
 def test_eig_diagonal_sorted():
-    eig = nk.hermitian_eig(np.diag([2.0, -5.0]))
-    assert np.allclose(eig.eigenvalues, [-5.0, 2.0])
+    w, _ = nk.hermitian_eig(np.diag([2.0, -5.0]))
+    assert np.allclose(w, [-5.0, 2.0])
 
 
 def test_eig_characteristic_roots():
     # roots of lam^2 - 3 lam + 1
-    eig = nk.hermitian_eig(np.array([[1, -1], [-1, 2]], float))
+    w, _ = nk.hermitian_eig(np.array([[1, -1], [-1, 2]], float))
     expect = [(3 - np.sqrt(5)) / 2, (3 + np.sqrt(5)) / 2]
-    assert np.allclose(eig.eigenvalues, expect, atol=1e-12)
+    assert np.allclose(w, expect, atol=1e-12)
 
 
 def test_eig_rejects_non_square_and_non_hermitian():
@@ -50,8 +50,7 @@ def test_eig_rejects_non_finite():
 @given(SEEDS)
 def test_eig_reconstruction_and_orthonormality(seed):
     M = random_hermitian(seed)
-    eig = nk.hermitian_eig(M)
-    V, w = eig.eigenvectors, eig.eigenvalues
+    w, V = nk.hermitian_eig(M)
     recon = (V * w) @ V.conj().T
     scale = 1e-10 * max(1.0, np.linalg.norm(M)) * np.linalg.norm(M)
     assert np.linalg.norm(recon - M) <= max(scale, 1e-13)
@@ -64,70 +63,17 @@ def test_eig_reconstruction_and_orthonormality(seed):
 def test_eig_shift_invariance(seed):
     M = random_hermitian(seed)
     c = 2.75
-    w0 = nk.hermitian_eig(M).eigenvalues
-    w1 = nk.hermitian_eig(M + c * np.eye(M.shape[0])).eigenvalues
+    w0, _ = nk.hermitian_eig(M)
+    w1, _ = nk.hermitian_eig(M + c * np.eye(M.shape[0]))
     assert np.allclose(w1 - w0, c, atol=1e-10)
 
 
 def test_eig_deterministic():
     M = random_hermitian(1234)
-    a = nk.hermitian_eig(M)
-    b = nk.hermitian_eig(M.copy())
-    assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    assert np.array_equal(a.eigenvectors, b.eigenvectors)
-
-
-def test_pinv_examples():
-    assert np.allclose(nk.pseudo_inverse(np.eye(3)), np.eye(3), atol=1e-14)
-    A = np.ones((2, 2))
-    assert np.allclose(nk.pseudo_inverse(A), A / 4, atol=1e-13)
-    assert np.allclose(nk.pseudo_inverse(np.diag([2.0, 0.0])),
-                       np.diag([0.5, 0.0]), atol=1e-14)
-    Z = np.zeros((3, 3))
-    assert np.allclose(nk.pseudo_inverse(Z), Z)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(SEEDS)
-def test_pinv_penrose_identities(seed):
-    rng = np.random.default_rng(seed)
-    n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-    rank = int(rng.integers(1, min(n, m) + 1))
-    M = (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))) @ \
-        (rng.standard_normal((rank, m)) + 1j * rng.standard_normal((rank, m)))
-    P = nk.pseudo_inverse(M)
-    scale = max(1.0, np.linalg.norm(M))
-    assert np.linalg.norm(M @ P @ M - M) <= 1e-9 * scale
-    assert np.linalg.norm(P @ M @ P - P) <= 1e-9 * max(1.0, np.linalg.norm(P))
-    assert np.linalg.norm((M @ P).conj().T - M @ P) <= 1e-9 * scale
-    assert np.linalg.norm((P @ M).conj().T - P @ M) <= 1e-9 * scale
-    # involution
-    assert np.allclose(nk.pseudo_inverse(P), M, atol=1e-8 * scale)
-
-
-def test_psd_sqrt_examples():
-    assert np.allclose(nk.psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-    R = nk.psd_sqrt(np.ones((2, 2)))
-    assert np.allclose(R, np.ones((2, 2)) / np.sqrt(2), atol=1e-12)
-    assert np.allclose(nk.psd_sqrt(np.zeros((2, 2))), np.zeros((2, 2)))
-
-
-def test_psd_sqrt_rejects_negative():
-    with pytest.raises(errors.NotPSD):
-        nk.psd_sqrt(np.diag([1.0, -0.5]))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(SEEDS)
-def test_psd_sqrt_squares_back(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 7))
-    rank = int(rng.integers(1, n + 1))
-    G = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    M = G @ G.conj().T
-    R = nk.psd_sqrt(M)
-    assert np.linalg.norm(R @ R - M) <= 1e-9 * max(1.0, np.linalg.norm(M))
-    assert np.linalg.norm(R - R.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(R))
+    wa, Va = nk.hermitian_eig(M)
+    wb, Vb = nk.hermitian_eig(M.copy())
+    assert np.array_equal(wa, wb)
+    assert np.array_equal(Va, Vb)
 
 
 def test_power_identity_exponent():
@@ -152,11 +98,6 @@ def test_power_composite_reference_value():
     comp = (nk.real_spectrum_power(T1, 1 / 3) @ X1 @ nk.real_spectrum_power(S1, 2 / 3)
             + nk.real_spectrum_power(T2, 1 / 3) @ X2 @ nk.real_spectrum_power(S2, 2 / 3))
     assert np.allclose(comp, [[1.5, 1.5], [0.5, 0.0]], atol=1e-12)
-
-
-def test_power_signed_branch_disabled():
-    with pytest.raises(errors.NegativeBase):
-        nk.real_spectrum_power(np.diag([1.0, -1.0]), 0.5, signed=False)
 
 
 def test_power_rejects_complex_spectrum():

@@ -10,7 +10,6 @@ from opradius import (
     random_in_BA,
     random_psd,
 )
-from opradius.numkernel import pseudo_inverse
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
 
@@ -174,15 +173,15 @@ def test_re_a_identity_metric_hermitian():
 def test_compress_identity_metric():
     sp = build_space(np.eye(3))
     T = np.arange(9.0).reshape(3, 3)
-    assert np.allclose(sp.compress(T).M, T, atol=1e-12)
+    assert np.allclose(sp.compression(T), T, atol=1e-12)
 
 
 def test_compress_rank_one_example():
     sp = build_space(A_RANK1)
     T = np.array([[0, 0.5], [0.5, 0]], float)
-    comp = sp.compress(T)
-    assert comp.r == 1
-    assert comp.M.reshape(()) == pytest.approx(0.5, abs=1e-12)
+    comp = sp.compression(T)
+    assert comp.shape == (1, 1)
+    assert comp.reshape(()) == pytest.approx(0.5, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -252,8 +251,9 @@ def test_sharp_adjoint_matches_pseudo_inverse(d, r):
     sp, rng = space_of_rank(d, r)
     T = random_in_BA(sp, rng)
     A = sp.metric
-    expect = pseudo_inverse(A) @ T.conj().T @ A
-    scale = np.linalg.norm(pseudo_inverse(A), 2) * np.linalg.norm(T) \
+    A_pinv = np.linalg.pinv(A, rcond=1e-10)
+    expect = A_pinv @ T.conj().T @ A
+    scale = np.linalg.norm(A_pinv, 2) * np.linalg.norm(T) \
         * np.linalg.norm(A)
     assert np.linalg.norm(sp.sharp_adjoint(T) - expect) <= 1e-12 * scale
 
