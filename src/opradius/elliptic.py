@@ -86,8 +86,7 @@ def run_demo(ns=(10, 20, 40), potential: str = "sine") -> list[dict]:
     """Run the bound check for each mesh resolution.
 
     Both radii come from the cutting-plane kernel of ``functionals``:
-    w_K(S) in closed form (M_S is symmetric), w_K(TS + ST) from a few
-    dozen evaluations of the rotated top eigenvalue (20 at N = 10, 44 at
-    N = 20), by the block subspace iteration above 128 rows (N >= 13).
+    w_K(S) in closed form (M_S is symmetric), w_K(TS + ST) from 20 to 24
+    evaluations of the rotated top eigenvalue, by Lanczos above 128 rows.
     """
     return [run_case(N, potential) for N in ns]

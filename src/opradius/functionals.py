@@ -59,8 +59,7 @@ CUT_STEPS = 64
 # in at most REFINE_STEPS evaluations.
 REFINE_WIDTH = 1e-12
 REFINE_STEPS = 64
-# Above this size the top eigenpair switches from dense solves to a
-# warm-started block subspace iteration.
+# Above this size the top eigenpair switches from dense solves to Lanczos.
 DENSE_SWEEP_MAX = 128
 _TWO_PI = 2 * math.pi
 
@@ -100,26 +99,28 @@ class _RotatedTop:
     A call returns ``(f, v, f')``: the value, its unit top eigenvector and,
     by Hellmann-Feynman, the slope ``f' = v*(cos(theta) R - sin(theta) P) v``.
     ``err`` bounds the error of a computed ``f``.  Small matrices use
-    dense solves (batched for the seed angles); large ones a warm-started
-    block subspace iteration (the block is carried between angles, so
-    each evaluation needs only a few dense multiplies and the rotated
-    matrix is never formed: memory traffic dominates at that size).
+    dense solves (batched for the seed angles); large ones Lanczos with
+    full reorthogonalization (Parlett, The Symmetric Eigenvalue Problem,
+    ch. 13), which converges to lam_max and, after at most r steps, spans
+    the whole space.  Every angle starts it from the same seeded random
+    unit vector, so f depends on theta alone.
     """
 
-    _BLOCK = 4
-    _BLOCK_TOL = 1e-10
+    _LANCZOS_TOL = 1e-10
 
     def __init__(self, P: np.ndarray, R: np.ndarray):
         self.P, self.R = P, R
         self.r = P.shape[0]
-        self._V = None
-        # the residual test of _block_top bounds its error; a dense solve
-        # errs by a small multiple of eps * ||cos P + sin R||
+        # a dense solve errs by a small multiple of eps * ||cos P + sin R||;
+        # Lanczos stops at a residual that bounds its error
         scale = float(np.linalg.norm(P) + np.linalg.norm(R))
         if self.r <= DENSE_SWEEP_MAX:
             self.err = 8 * self.r * sys.float_info.epsilon * scale
         else:
-            self.err = self._BLOCK_TOL * max(1.0, scale)
+            self.err = self._LANCZOS_TOL * max(1.0, scale)
+            rng = np.random.default_rng(0x5EED)
+            x = rng.standard_normal(self.r) + 1j * rng.standard_normal(self.r)
+            self._start = x / np.linalg.norm(x)
 
     def batch(self, theta: np.ndarray) -> list[tuple[float, np.ndarray, float]]:
         """``[self(t) for t in theta]``, as one batched solve when dense."""
@@ -138,42 +139,37 @@ class _RotatedTop:
             w, U = np.linalg.eigh(c * self.P + s * self.R)
             lam, v = float(w[-1]), U[:, -1]
         else:
-            lam, v = self._block_top(c, s)
+            lam, v = self._lanczos_top(c, s)
         # f = c v*Pv + s v*Rv gives one form from the other, so the slope
         # c v*Rv - s v*Pv needs only the form whose weight is larger
         if abs(c) >= abs(s):
             return lam, v, (float(np.vdot(v, self.R @ v).real) - s * lam) / c
         return lam, v, (c * lam - float(np.vdot(v, self.P @ v).real)) / s
 
-    def _start_block(self) -> np.ndarray:
-        b = min(self._BLOCK, self.r)
-        rng = np.random.default_rng(0x5EED)
-        V = rng.standard_normal((self.r, b)) + 1j * rng.standard_normal((self.r, b))
-        return np.linalg.qr(V)[0]
-
-    def _block_top(self, c: float, s: float,
-                   maxiter: int = 400) -> tuple[float, np.ndarray]:
-        tol = self._BLOCK_TOL
-        V = self._V
-        if V is None:
-            V = self._start_block()
-        for _ in range(maxiter):
-            W = c * (self.P @ V) + s * (self.R @ V)
-            S = V.conj().T @ W
-            w, U = np.linalg.eigh((S + S.conj().T) / 2)
-            lam = float(w[-1])
-            top_vec = V @ U[:, -1]
-            res = float(np.linalg.norm(W @ U[:, -1] - lam * top_vec))
-            if res <= tol * max(1.0, abs(lam)):
-                self._V = V
-                return lam, top_vec
-            V = np.linalg.qr(W)[0]
-        from scipy.linalg import eigh as dense_eigh
-
-        self._V = V
+    def _lanczos_top(self, c: float, s: float) -> tuple[float, np.ndarray]:
+        # rows of Q: the Lanczos basis; rows of W: H applied to them; T:
+        # the tridiagonal matrix Q* H Q (its lower half)
+        r = self.r
         H = c * self.P + s * self.R
-        w, U = dense_eigh(H, subset_by_index=[self.r - 1, self.r - 1])
-        return float(w[0]), U[:, 0]
+        Q = np.empty((r, r), complex)
+        W = np.empty((r, r), complex)
+        T = np.zeros((r, r))
+        q = self._start
+        for k in range(r):
+            Q[k] = q
+            W[k] = w = H @ q
+            T[k, k] = np.vdot(q, w).real
+            theta, Y = np.linalg.eigh(T[:k + 1, :k + 1])
+            lam, y = float(theta[-1]), Y[:, -1]
+            x = y @ Q[:k + 1]
+            # stop at a small true residual, or once Q spans the whole space
+            res = np.linalg.norm(y @ W[:k + 1] - lam * x)
+            if res <= self._LANCZOS_TOL * max(1.0, abs(lam)) or k == r - 1:
+                return lam, x
+            for _ in range(2):          # full reorthogonalization, twice
+                w = w - (Q[:k + 1].conj() @ w) @ Q[:k + 1]
+            T[k + 1, k] = np.linalg.norm(w)
+            q = w / T[k + 1, k]
 
 
 def _illinois(g, a: float, ga: float, b: float, gb: float) -> None:

@@ -9,6 +9,7 @@ serialized record.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -210,6 +211,8 @@ def replay(record: dict) -> MarginReport:
         stored_fp = record["fingerprint"]
         tol_abs = float(record.get("tol_abs", inequalities.TOL_ABS))
         tol_rel = float(record.get("tol_rel", inequalities.TOL_REL))
+        if not (math.isfinite(tol_abs) and math.isfinite(tol_rel)):
+            raise ValueError(f"tolerances {tol_abs!r}, {tol_rel!r} are not finite")
     except (KeyError, TypeError, ValueError, OpRadiusError) as exc:
         raise CorruptRecord(f"malformed violation record: {exc}") from exc
     fp = inequalities.fingerprint_payload(entry_id, space, ops, params)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import Inapplicable
+from .errors import ConfigError, Inapplicable
 from .functionals import numerical_radius, spectral_norm
 from .numkernel import matrix_to_json
 from .space import SemiHilbertSpace
@@ -770,6 +770,8 @@ def evaluate(entry_id: str, space: SemiHilbertSpace, operands,
              params: dict | None = None, tol_abs: float = TOL_ABS,
              tol_rel: float = TOL_REL, ctx: EvalContext | None = None) -> MarginReport:
     """Evaluate one catalog entry on concrete operands."""
+    if not (math.isfinite(tol_abs) and math.isfinite(tol_rel)):
+        raise ConfigError(f"tolerances {tol_abs!r}, {tol_rel!r} are not finite")
     entry = get_entry(entry_id)
     params = dict(params or {})
     operands = list(operands)

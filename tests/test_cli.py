@@ -149,6 +149,12 @@ def test_check_violated_exit1(tmp_path, capsys):
                              "--operands", half, half, half])
     assert code == 1
     assert json.loads(out)["status"] == "Violated"
+    # a tolerance that is not finite makes every comparison pass
+    for flag in ("--tol-abs", "--tol-rel"):
+        for tol in ("nan", "inf"):
+            code = main(["check", "--id", "RA1.stated", "--space", space,
+                         "--operands", half, half, half, flag, tol])
+            assert code == 2, (flag, tol)
 
 
 def test_check_inapplicable_exit2(tmp_path, capsys):

@@ -15,9 +15,11 @@ from opradius import (
     random_a_unitary,
     random_in_BA,
     random_psd,
+    random_space,
     sampling_oracle,
     spectral_norm,
 )
+from opradius.elliptic import dirichlet_laplacian, potential_values
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
 
@@ -191,12 +193,50 @@ def test_crawford_origin_inside_range_dense_sweep():
     assert crawford_number(_strip_diagonal(128)) == pytest.approx(0.0, abs=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "above DENSE_SWEEP_MAX the block subspace iteration converges to the "
-    "eigenvalues of largest magnitude, not to lam_max, so the support "
-    "function is overestimated (returns 9.74 here)"))
-def test_crawford_origin_inside_range_block_sweep():
+def test_crawford_origin_inside_range_lanczos():
     assert crawford_number(_strip_diagonal(129)) == pytest.approx(0.0, abs=1e-9)
+
+
+def _mesh_anticommutator(N):
+    # M_C of elliptic.run_case: the compression of TS + ST, S = K^{-1} T
+    space = build_space(dirichlet_laplacian(N))
+    s, Q = np.sqrt(space.lam), space.Q.real
+    W = Q.T @ (potential_values(N)[:, None] * Q)
+    M_T, M_S = W * (s[:, None] / s[None, :]), W / (s[:, None] * s[None, :])
+    return M_T @ M_S + M_S @ M_T
+
+
+def _ginibre_129():
+    rng = np.random.default_rng(5)
+    return rng.standard_normal((129, 129)) + 1j * rng.standard_normal((129, 129))
+
+
+@pytest.mark.parametrize("make", [lambda: _mesh_anticommutator(20), _ginibre_129,
+                                  lambda: _strip_diagonal(129)],
+                         ids=["mesh20", "ginibre129", "strip129"])
+def test_lanczos_matches_dense_path(make, monkeypatch):
+    # above DENSE_SWEEP_MAX the kernel runs on Lanczos; the dense path,
+    # forced by raising the switch, is the reference
+    M = make()
+    radius, (craw, craw_hi) = functionals._radius(M)[0], functionals._crawford(M)
+    monkeypatch.setattr(functionals, "DENSE_SWEEP_MAX", 10**6)
+    assert abs(radius - functionals._radius(M)[0]) <= 1e-9 * radius
+    dense = functionals._crawford(M)[0]
+    assert abs(craw - dense) <= 1e-9 * dense
+    assert craw <= craw_hi
+
+
+def test_lanczos_value_depends_on_angle_alone():
+    # perfbench's r = 129 template: two evaluators with different earlier
+    # angles must agree bit for bit at the same angle
+    rng = np.random.default_rng([0, 129])
+    space = random_space(129, 129, rng)
+    M = space.compression(random_in_BA(space, rng))
+    first, second = (functionals._RotatedTop(*functionals._split(M))
+                     for _ in range(2))
+    first(0.3), first(2.0), second(4.0)
+    (f1, _, df1), (f2, _, df2) = first(1.0), second(1.0)
+    assert f1 == f2 and df1 == df2
 
 
 # -- sampling oracle --------------------------------------------------------

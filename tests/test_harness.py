@@ -123,10 +123,11 @@ def test_replay_rejects_tampering():
     with pytest.raises(errors.CorruptRecord, match="malformed"):
         replay(unknown)
     for key in ("tol_abs", "tol_rel"):
-        not_a_number = copy.deepcopy(report.flagged_findings[0])
-        not_a_number[key] = "loose"
-        with pytest.raises(errors.CorruptRecord, match="malformed"):
-            replay(not_a_number)
+        for tol in ("loose", float("nan"), float("inf")):
+            not_a_number = copy.deepcopy(report.flagged_findings[0])
+            not_a_number[key] = tol
+            with pytest.raises(errors.CorruptRecord, match="malformed"):
+                replay(not_a_number)
     # a metric that is no longer Hermitian: entry (0, 1) moves, (1, 0) not
     skewed = copy.deepcopy(report.flagged_findings[0])
     skewed["space"]["metric"]["data"][1][0] += 1.0
