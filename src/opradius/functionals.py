@@ -102,8 +102,14 @@ class _RotatedTop:
     dense solves (batched for the seed angles); large ones Lanczos with
     full reorthogonalization (Parlett, The Symmetric Eigenvalue Problem,
     ch. 13), which converges to lam_max and, after at most r steps, spans
-    the whole space.  Every angle starts it from the same seeded random
-    unit vector, so f depends on theta alone.
+    the whole space.  It stops once the true residual of its top Ritz
+    pair is at most ``err``, which then bounds the error of f.  The
+    tridiagonal is solved for that test only once the step count has
+    grown by a quarter since the last solve, so all solves together cost
+    about twice the last one, or once the next Lanczos vector has norm at
+    most ``err``, which bounds every Ritz residual.  Every angle starts
+    it from the same seeded random unit vector, so f depends on theta
+    alone.
     """
 
     _LANCZOS_TOL = 1e-10
@@ -155,21 +161,26 @@ class _RotatedTop:
         W = np.empty((r, r), complex)
         T = np.zeros((r, r))
         q = self._start
+        check = 1
         for k in range(r):
             Q[k] = q
             W[k] = w = H @ q
             T[k, k] = np.vdot(q, w).real
-            theta, Y = np.linalg.eigh(T[:k + 1, :k + 1])
-            lam, y = float(theta[-1]), Y[:, -1]
-            x = y @ Q[:k + 1]
-            # stop at a small true residual, or once Q spans the whole space
-            res = np.linalg.norm(y @ W[:k + 1] - lam * x)
-            if res <= self._LANCZOS_TOL * max(1.0, abs(lam)) or k == r - 1:
-                return lam, x
             for _ in range(2):          # full reorthogonalization, twice
                 w = w - (Q[:k + 1].conj() @ w) @ Q[:k + 1]
-            T[k + 1, k] = np.linalg.norm(w)
-            q = w / T[k + 1, k]
+            beta = float(np.linalg.norm(w))
+            if k + 1 >= check or beta <= self.err or k == r - 1:
+                theta, Y = np.linalg.eigh(T[:k + 1, :k + 1])
+                lam, y = float(theta[-1]), Y[:, -1]
+                x = y @ Q[:k + 1]
+                # stop at a true residual within err, or once Q spans the
+                # whole space
+                if (k == r - 1
+                        or np.linalg.norm(y @ W[:k + 1] - lam * x) <= self.err):
+                    return lam, x
+                check = math.ceil(1.25 * (k + 1))
+            T[k + 1, k] = beta
+            q = w / beta
 
 
 def _illinois(g, a: float, ga: float, b: float, gb: float) -> None:
@@ -469,7 +480,10 @@ def sampling_oracle(space: SemiHilbertSpace, T, samples: int, seed) -> float:
         k = min(chunk, left)
         Z = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
         Z /= np.linalg.norm(Z, axis=1)[:, None]
-        vals = np.abs(np.einsum("si,ij,sj->s", Z.conj(), M, Z))
+        # row s of Z @ M.T is M z_s, so z_s* M z_s is a row-wise dot
+        ZM = Z @ M.T
+        np.conjugate(Z, out=Z)
+        vals = np.abs(np.einsum("si,si->s", Z, ZM))
         best = max(best, float(vals.max()))
         left -= k
     return best

@@ -9,7 +9,6 @@ serialized record.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -211,14 +210,15 @@ def replay(record: dict) -> MarginReport:
         stored_fp = record["fingerprint"]
         tol_abs = float(record.get("tol_abs", inequalities.TOL_ABS))
         tol_rel = float(record.get("tol_rel", inequalities.TOL_REL))
-        if not (math.isfinite(tol_abs) and math.isfinite(tol_rel)):
-            raise ValueError(f"tolerances {tol_abs!r}, {tol_rel!r} are not finite")
     except (KeyError, TypeError, ValueError, OpRadiusError) as exc:
         raise CorruptRecord(f"malformed violation record: {exc}") from exc
     fp = inequalities.fingerprint_payload(entry_id, space, ops, params)
     if fp != stored_fp:
         raise CorruptRecord("fingerprint mismatch: record was tampered with")
-    report = evaluate(entry_id, space, ops, params, tol_abs=tol_abs,
-                      tol_rel=tol_rel)
+    try:
+        report = evaluate(entry_id, space, ops, params, tol_abs=tol_abs,
+                          tol_rel=tol_rel)
+    except ConfigError as exc:      # a tolerance or parameter out of range
+        raise CorruptRecord(f"malformed violation record: {exc}") from exc
     report.fingerprint = fp     # already hashed: fills the cached property
     return report

@@ -383,10 +383,17 @@ def _ev_buzano(ctx, ops, params):
     return lhs, rhs, {}
 
 
+def _alpha(params) -> float:
+    alpha = float(params.get("alpha", 0.5))
+    if not 0 <= alpha <= 1:
+        raise Inapplicable("requires alpha in [0, 1]")
+    return alpha
+
+
 def _ev_md1(ctx, ops, params):
     sp = ctx.space
     a, b, e = ops
-    alpha = float(params.get("alpha", 0.5))
+    alpha = _alpha(params)
     ne = sp.a_norm(e)
     if ne <= 1e-12:
         raise Inapplicable("unit vector has zero metric norm")
@@ -400,7 +407,7 @@ def _ev_md1(ctx, ops, params):
 def _ev_md2(ctx, ops, params):
     sp = ctx.space
     a, b, e = ops
-    alpha = float(params.get("alpha", 0.5))
+    alpha = _alpha(params)
     r = float(params.get("r", 1.0))
     if r < 1:
         raise Inapplicable("exponent r must be >= 1")
@@ -424,7 +431,7 @@ def _ev_ra2(ctx, ops, params):
 
 def _ev_md3(ctx, ops, params):
     B = ctx.comp(ops[0])
-    alpha = float(params.get("alpha", 0.5))
+    alpha = _alpha(params)
     r = float(params.get("r", 1.0))
     if r < 1:
         raise Inapplicable("exponent r must be >= 1")
@@ -467,9 +474,11 @@ def _triples(ctx, ops):
 
 def _mrq1(ctx, ops, params, stated: bool):
     n, Ts, Xs, Ss = _triples(ctx, ops)
-    alpha = float(params.get("alpha", 0.5))
+    alpha = _alpha(params)
     r = float(params.get("r", 1.0))
     p = float(params.get("p", 2.0))
+    if p <= 1:
+        raise Inapplicable("requires p > 1")
     q = p / (p - 1)
     if p * r < 2 or q * r < 2:
         raise Inapplicable("requires p*r >= 2 and q*r >= 2")
@@ -494,7 +503,7 @@ def _ev_mrq1_proof(ctx, ops, params):
 
 def _ev_final1(ctx, ops, params):
     n, Ts, Xs, Ss = _triples(ctx, ops)
-    alpha = float(params.get("alpha", 0.5))
+    alpha = _alpha(params)
     r = float(params.get("r", 2.0))
     if r < 2:
         raise Inapplicable("requires r >= 2")
@@ -774,6 +783,13 @@ def evaluate(entry_id: str, space: SemiHilbertSpace, operands,
         raise ConfigError(f"tolerances {tol_abs!r}, {tol_rel!r} are not finite")
     entry = get_entry(entry_id)
     params = dict(params or {})
+    for key, val in params.items():
+        try:
+            finite = math.isfinite(float(val))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise ConfigError(f"parameter {key}={val!r} is not a finite number")
     operands = list(operands)
     if ctx is None:
         ctx = EvalContext(space)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opradius
 from opradius.cli import main
 from opradius.numkernel import load_matrix, matrix_to_json
 
@@ -155,6 +159,15 @@ def test_check_violated_exit1(tmp_path, capsys):
             code = main(["check", "--id", "RA1.stated", "--space", space,
                          "--operands", half, half, half, flag, tol])
             assert code == 2, (flag, tol)
+    # and a parameter that is not finite gives no report (it printed NaN)
+    capsys.readouterr()
+    for value in ("nan", "inf", "-inf"):
+        code = main(["check", "--id", "MD3", "--space", space,
+                     "--operands", half, "--params", f"alpha={value}"])
+        captured = capsys.readouterr()
+        assert code == 2, value
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 def test_check_inapplicable_exit2(tmp_path, capsys):
@@ -165,6 +178,23 @@ def test_check_inapplicable_exit2(tmp_path, capsys):
                              "--operands", up, dn])
     assert code == 2
     assert json.loads(out)["status"] == "Inapplicable"
+    # parameters outside the range the inequality is proven for
+    pd = write_matrix(tmp_path / "pd.json", A_PD)
+    T = write_matrix(tmp_path / "T.json", [[1, 0], [1, 0]])
+    e = write_matrix(tmp_path / "e.json", [[1], [0]])
+    cases = [("MRQ1.proof", [space, T, space], "p=1"),
+             ("MRQ1.proof", [space, T, space], "p=0.5"),
+             ("MRQ1.stated", [space, T, space], "alpha=2"),
+             ("FINAL1", [space, T, space], "alpha=-0.5"),
+             ("MD3", [T], "alpha=-1"),
+             ("MD3", [T], "alpha=1.5"),
+             ("MD2", [e, e, e], "alpha=-1"),
+             ("MD1", [e, e, e], "alpha=2")]
+    for entry, operands, param in cases:
+        code, out = run(capsys, ["check", "--id", entry, "--space", pd,
+                                 "--operands", *operands, "--params", param])
+        assert code == 2, (entry, param)
+        assert json.loads(out)["status"] == "Inapplicable", (entry, param)
 
 
 def test_check_unknown_id_exit2(files, capsys):
@@ -303,3 +333,18 @@ def test_env_tol_override(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert code == 2, tol
         assert "tolerance" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(opradius.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "opradius", "catalog"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert len(json.loads(done.stdout)) == 39
+    # the exit code is main's: 2 for an unknown case
+    done = subprocess.run([sys.executable, "-m", "opradius", "repro", "--case",
+                           "nope"], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 2

@@ -211,9 +211,21 @@ def _ginibre_129():
     return rng.standard_normal((129, 129)) + 1j * rng.standard_normal((129, 129))
 
 
+def _large_negative_top(r):
+    # 1e7 (U diag(-10..0) U* + i diag(-1..1)): at psi = 0 the top eigenvalue
+    # is 0 while the matrix has norm about 1e8
+    rng = np.random.default_rng([7, r])
+    U, _ = np.linalg.qr(rng.standard_normal((r, r))
+                        + 1j * rng.standard_normal((r, r)))
+    return 1e7 * (U @ np.diag(np.linspace(-10.0, 0.0, r)) @ U.conj().T
+                  + 1j * np.diag(np.linspace(-1.0, 1.0, r)))
+
+
 @pytest.mark.parametrize("make", [lambda: _mesh_anticommutator(20), _ginibre_129,
-                                  lambda: _strip_diagonal(129)],
-                         ids=["mesh20", "ginibre129", "strip129"])
+                                  lambda: _strip_diagonal(129),
+                                  lambda: _large_negative_top(160)],
+                         ids=["mesh20", "ginibre129", "strip129",
+                              "negtop160"])
 def test_lanczos_matches_dense_path(make, monkeypatch):
     # above DENSE_SWEEP_MAX the kernel runs on Lanczos; the dense path,
     # forced by raising the switch, is the reference
@@ -224,6 +236,43 @@ def test_lanczos_matches_dense_path(make, monkeypatch):
     dense = functionals._crawford(M)[0]
     assert abs(craw - dense) <= 1e-9 * dense
     assert craw <= craw_hi
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    # orders of the matrices passed to numpy.linalg.eigh; in Lanczos the
+    # largest tridiagonal solved is the number of steps taken
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return sizes
+
+
+def test_lanczos_stops_before_spanning_the_space(eigh_sizes):
+    # h(0) is 0 against a norm of 1e8: a residual test relative to |h|
+    # cannot pass there, the bound err (relative to the norm) can
+    r = 160
+    top = functionals._RotatedTop(*functionals._split(_large_negative_top(r)))
+    f, v, _ = top(0.0)
+    assert max(eigh_sizes) < r
+    assert np.linalg.norm(top.P @ v - f * v) <= top.err
+    assert abs(f - np.linalg.eigvalsh(top.P)[-1]) <= top.err
+
+
+def test_lanczos_stops_when_the_krylov_space_closes(eigh_sizes):
+    # six distinct eigenvalues: after 6 steps, between two scheduled
+    # solves, the Krylov space is invariant up to rounding
+    lam = np.arange(1, 7) * np.exp(1j * np.pi / 3 * np.arange(6))
+    M = np.diag(np.tile(lam, 22))
+    f, _, _ = functionals._RotatedTop(*functionals._split(M))(0.3)
+    assert max(eigh_sizes) == 6
+    assert f == pytest.approx((np.exp(-0.3j) * lam).real.max(), rel=1e-12)
+    assert numerical_radius(M) == pytest.approx(6.0, rel=1e-12)
 
 
 def test_lanczos_value_depends_on_angle_alone():
@@ -247,6 +296,21 @@ def test_oracle_deterministic_and_bounded():
     b = sampling_oracle(sp, T, samples=5000, seed=11)
     assert a == b
     assert a <= a_numerical_radius(sp, T).value + 1e-9
+
+
+@pytest.mark.parametrize("r", [1, 3, 129])
+def test_oracle_matches_per_sample_loop(r):
+    # the same draws as the oracle, one vector at a time
+    rng = np.random.default_rng([11, r])
+    sp = build_space(random_psd(r, r, rng))
+    T = random_in_BA(sp, rng)
+    M, samples = sp.compression(T), 300
+    draws = np.random.default_rng(3)
+    Z = (draws.standard_normal((samples, r))
+         + 1j * draws.standard_normal((samples, r)))
+    want = max(abs(np.vdot(z, M @ z)) / np.vdot(z, z).real for z in Z)
+    got = sampling_oracle(sp, T, samples=samples, seed=3)
+    assert abs(got - want) <= 1e-13 * want
 
 
 def test_oracle_rank_one_exact():

@@ -2,8 +2,10 @@ import copy
 
 import pytest
 
-from opradius import EnsembleConfig, errors, inequalities, replay, run_fuzz
+from opradius import (EnsembleConfig, build_space, errors, inequalities, replay,
+                      run_fuzz)
 from opradius.harness import build_kit
+from opradius.numkernel import matrix_from_json
 
 
 def small_config(trials=30, seed=7):
@@ -139,6 +141,18 @@ def test_replay_rejects_tampering():
         bad_tol["space"]["tol"] = tol
         with pytest.raises(errors.CorruptRecord, match="malformed"):
             replay(bad_tol)
+    # a parameter that is not finite, in a record signed with it
+    rec = report.flagged_findings[0]
+    space = build_space(matrix_from_json(rec["space"]["metric"]),
+                        tol=rec["space"]["tol"])
+    ops = [matrix_from_json(o) for o in rec["operands"]]
+    for value in (float("nan"), float("inf"), "loose"):
+        bad_param = copy.deepcopy(rec)
+        bad_param["params"] = {"alpha": value}
+        bad_param["fingerprint"] = inequalities.fingerprint_payload(
+            rec["entry"], space, ops, bad_param["params"])
+        with pytest.raises(errors.CorruptRecord, match="malformed"):
+            replay(bad_param)
 
 
 def test_replay_tolerance_band_flip():
