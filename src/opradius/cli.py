@@ -14,6 +14,7 @@ space tolerance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,13 +23,7 @@ import numpy as np
 
 from . import elliptic, repro
 from .ensembles import EnsembleConfig
-from .errors import (
-    ConfigError,
-    Inapplicable,
-    NotInBA,
-    OpRadiusError,
-    UnboundedForm,
-)
+from .errors import ConfigError, NotInBA, OpRadiusError, UnboundedForm
 from .functionals import (
     a_crawford,
     a_numerical_radius,
@@ -44,7 +39,7 @@ from .inequalities import (
     list_catalog,
 )
 from .numkernel import load_json, load_matrix, matrix_from_json, matrix_to_json
-from .space import build_space
+from .space import DEFAULT_TOL, build_space
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -55,7 +50,7 @@ EXIT_UNBOUNDED = 3
 def _default_tol() -> float:
     raw = os.environ.get("OPRADIUS_TOL")
     if raw is None:
-        return 1e-10
+        return DEFAULT_TOL
     try:
         return float(raw)
     except ValueError:
@@ -97,11 +92,10 @@ def cmd_compute(args) -> int:
     elif q == "adjoint":
         doc = {"quantity": "adjoint", **matrix_to_json(space.sharp_adjoint(T))}
     elif q == "classify":
-        doc = {"quantity": "classify", **space.classify(T).as_dict()}
-    elif q == "compress":
+        doc = {"quantity": "classify",
+               **dataclasses.asdict(space.classify(T))}
+    else:  # "compress"; argparse restricts the choices
         doc = {"quantity": "compress", **matrix_to_json(space.compression(T))}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown quantity {q!r}")
     _emit(doc)
     return EXIT_OK
 
@@ -286,10 +280,7 @@ def main(argv=None) -> int:
     except (UnboundedForm, NotInBA) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNBOUNDED
-    except (Inapplicable, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (OpRadiusError, ValueError, OSError) as exc:
+    except (OpRadiusError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except np.linalg.LinAlgError as exc:

@@ -18,10 +18,6 @@ from .errors import BadRank, ConfigError
 from .space import SemiHilbertSpace, build_space
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
@@ -67,7 +63,7 @@ def random_psd(dim: int, rank: int, seed) -> np.ndarray:
     """Random PSD metric of exact rank: ``G G*`` with Gaussian G."""
     if not 1 <= rank <= dim:
         raise BadRank(f"rank {rank} outside 1..{dim}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     for _ in range(64):
         G = _ginibre(rng, dim, rank)
         A = G @ G.conj().T
@@ -77,14 +73,14 @@ def random_psd(dim: int, rank: int, seed) -> np.ndarray:
     raise BadRank(f"could not draw a rank-{rank} PSD matrix")  # pragma: no cover
 
 
-def random_space(dim: int, rank: int, seed, tol: float = 1e-10) -> SemiHilbertSpace:
-    return build_space(random_psd(dim, rank, seed), tol=tol)
+def random_space(dim: int, rank: int, seed) -> SemiHilbertSpace:
+    return build_space(random_psd(dim, rank, seed))
 
 
 def random_in_BA(space: SemiHilbertSpace, seed) -> np.ndarray:
     """Generic adjointable operator: Gaussian blocks with the
     null(A) -> range(A) block forced to zero."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     Q, Qn, r = space.Q, space.Qn, space.rank
     nn = space.dim - r
     T = Q @ _ginibre(rng, r, r) @ Q.conj().T
@@ -102,14 +98,14 @@ def _lift(space: SemiHilbertSpace, M: np.ndarray) -> np.ndarray:
 
 
 def random_a_selfadjoint(space: SemiHilbertSpace, seed) -> np.ndarray:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     r = space.rank
     G = _ginibre(rng, r, r)
     return _lift(space, (G + G.conj().T) / 2)
 
 
 def random_a_positive(space: SemiHilbertSpace, seed) -> np.ndarray:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     r = space.rank
     G = _ginibre(rng, r, r)
     return _lift(space, G @ G.conj().T)
@@ -118,7 +114,7 @@ def random_a_positive(space: SemiHilbertSpace, seed) -> np.ndarray:
 def random_a_unitary(space: SemiHilbertSpace, seed) -> np.ndarray:
     """Metric isometry: Haar-ish unitary compression plus the identity
     on the nullspace, so ||Ux||_A = ||x||_A for every x."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     r = space.rank
     Qm, Rm = np.linalg.qr(_ginibre(rng, r, r))
     d = np.diag(Rm).copy()
@@ -133,7 +129,7 @@ def random_a_unitary(space: SemiHilbertSpace, seed) -> np.ndarray:
 def random_a_normal(space: SemiHilbertSpace, seed) -> np.ndarray:
     """Operator whose compression is normal (unitary conjugate of a
     random complex diagonal)."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     r = space.rank
     Qm, _ = np.linalg.qr(_ginibre(rng, r, r))
     d = rng.standard_normal(r) + 1j * rng.standard_normal(r)
@@ -144,7 +140,7 @@ def random_commuting_family(space: SemiHilbertSpace, n: int, seed) -> list[np.nd
     """Pairwise commuting adjointable family: complex polynomials of a
     single lifted Hermitian compression.  Each member is metric-normal
     and the family sum commutes with every member's metric adjoint."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     r = space.rank
     G = _ginibre(rng, r, r)
     H = (G + G.conj().T) / 2

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpaceWarning, NotInBA, UnboundedForm
+from .numkernel import as_matrix
 from .space import SemiHilbertSpace
 
 # Cutting-plane kernel: SEED_ANGLES equally spaced support lines (at
@@ -371,7 +372,7 @@ def _radius(M: np.ndarray) -> tuple[float, float, np.ndarray, float]:
     """Numerical radius as ``(value, theta, eigvec, hi)``: the supremum is
     attained by the top eigenvector of Re(e^{i theta} M), and ``hi``
     bounds it from above."""
-    M = np.asarray(M, dtype=complex)
+    M = as_matrix(M)
     r = M.shape[0]
     if r == 0:
         return 0.0, 0.0, np.zeros(0, complex), 0.0
@@ -396,13 +397,14 @@ def _radius(M: np.ndarray) -> tuple[float, float, np.ndarray, float]:
 
 
 def numerical_radius(M: np.ndarray) -> float:
-    """Classical numerical radius of a square matrix."""
+    """Classical numerical radius of a square matrix; ValueError if an
+    entry is NaN or Inf."""
     return _radius(M)[0]
 
 
 def _crawford(M: np.ndarray) -> tuple[float, float]:
     """Crawford number as ``(value, hi)``, ``hi`` bounding it from above."""
-    M = np.asarray(M, dtype=complex)
+    M = as_matrix(M)
     r = M.shape[0]
     if r == 0:
         return 0.0, 0.0
@@ -414,7 +416,8 @@ def _crawford(M: np.ndarray) -> tuple[float, float]:
 
 
 def crawford_number(M: np.ndarray) -> float:
-    """Distance from the origin to the (convex) numerical range of M."""
+    """Distance from the origin to the (convex) numerical range of M;
+    ValueError if an entry is NaN or Inf."""
     return _crawford(M)[0]
 
 

@@ -26,13 +26,14 @@ class TrialKit:
     """Operands for one trial, drawn unconditionally so the stream does
     not depend on which entries are enabled.  ``operands`` maps every
     operand kind to its list; kinds share array objects (T is the first
-    operand of several), which the evaluation context's caches rely on."""
+    operand of several), which the evaluation context's caches rely on.
+    ``params`` is the one parameter dict of the trial: its grid point, the
+    family size ``n`` and the scalars ``a``, ``b``; each entry reads the
+    names it declares."""
 
     space: object
     operands: dict         # operand kind -> operand list
-    scalars: tuple         # (a, b)
-    n: int
-    params: dict
+    params: dict           # parameter name -> value
 
 
 def build_kit(config: ensembles.EnsembleConfig, trial: int) -> TrialKit:
@@ -51,7 +52,9 @@ def build_kit(config: ensembles.EnsembleConfig, trial: int) -> TrialKit:
                           ensembles.random_a_positive(space, rng))]
     vectors = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
                for _ in range(3)]
-    scalars = (float(rng.exponential(2.0)), float(rng.exponential(2.0)))
+    params["n"] = n
+    params["a"] = float(rng.exponential(2.0))
+    params["b"] = float(rng.exponential(2.0))
     operands = {
         "single": [T], "pair": [T, S], "quad": [T, X, Y, S],
         "family": family, "commuting_pair": commuting[:2],
@@ -59,20 +62,7 @@ def build_kit(config: ensembles.EnsembleConfig, trial: int) -> TrialKit:
         "positive_triples": triples, "op_vector": [T, vectors[0]],
         "vec_pair": vectors[:2], "vec_triple": vectors, "scalars": [],
     }
-    return TrialKit(space=space, operands=operands, scalars=scalars, n=n,
-                    params=params)
-
-
-def _params_for(entry, kit: TrialKit) -> dict:
-    params = {}
-    for name in entry.params:
-        if name == "n":
-            params["n"] = kit.n
-        elif name in ("a", "b"):
-            params[name] = kit.scalars[0 if name == "a" else 1]
-        else:
-            params[name] = kit.params[name]
-    return params
+    return TrialKit(space=space, operands=operands, params=params)
 
 
 @dataclass
@@ -144,7 +134,7 @@ def _violation_record(config, trial, kit, report: MarginReport) -> dict:
         "space": {"metric": matrix_to_json(kit.space.metric),
                   "tol": kit.space.tol},
         "operands": report.operands,
-        "params": {k: float(v) for k, v in report.params.items()},
+        "params": dict(report.params),
         "lhs": report.lhs,
         "rhs": report.rhs,
         "margin": report.margin,
@@ -177,7 +167,8 @@ def run_fuzz(config: ensembles.EnsembleConfig, entry_filter=None,
         for entry in catalog:
             report = evaluate(entry.id, kit.space,
                               kit.operands[entry.operand_kind],
-                              _params_for(entry, kit), ctx=ctx)
+                              {k: kit.params[k] for k in entry.params},
+                              ctx=ctx)
             aggregates[entry.id].update(report)
             if report.status == "Violated":
                 record = _violation_record(config, trial, kit, report)
@@ -196,7 +187,8 @@ def run_fuzz(config: ensembles.EnsembleConfig, entry_filter=None,
 def replay(record: dict) -> MarginReport:
     """Re-evaluate a stored violation record from its serialized operands.
 
-    The recomputed fingerprint must match the stored one, otherwise the
+    The parameters are turned into floats as ``evaluate`` does, then the
+    recomputed fingerprint must match the stored one, otherwise the
     record is rejected as corrupt.
     """
     try:
@@ -206,7 +198,7 @@ def replay(record: dict) -> MarginReport:
         ops = inequalities.deserialize_operands(
             inequalities.get_entry(entry_id).operand_kind,
             [matrix_from_json(o) for o in record["operands"]])
-        params = dict(record["params"])
+        params = inequalities.float_params(record["params"])
         stored_fp = record["fingerprint"]
         tol_abs = float(record.get("tol_abs", inequalities.TOL_ABS))
         tol_rel = float(record.get("tol_rel", inequalities.TOL_REL))

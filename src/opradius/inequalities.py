@@ -117,10 +117,6 @@ def _require_positive_compression(ctx: EvalContext, T, label: str) -> np.ndarray
     return (M + M.conj().T) / 2
 
 
-def _vec_y(ctx: EvalContext, x) -> np.ndarray:
-    return ctx.space.compress_vector(x)
-
-
 # ---------------------------------------------------------------------------
 # evaluators; ops is the operand list, params a dict
 # ---------------------------------------------------------------------------
@@ -146,7 +142,10 @@ def _ev_norm_equiv(ctx, ops, params):
 
 
 def _ev_power(ctx, ops, params):
-    n = int(params.get("n", 2))
+    n = params.get("n", 2.0)
+    if n < 1 or n != int(n):
+        raise Inapplicable("requires an integer n >= 1")
+    n = int(n)
     M = ctx.comp(ops[0])
     return ctx.rad(np.linalg.matrix_power(M, n)), ctx.rad(M) ** n, {}
 
@@ -156,10 +155,10 @@ def _ev_prod4(ctx, ops, params):
     return ctx.rad(B @ C), 4 * ctx.rad(B) * ctx.rad(C), {}
 
 
-def _require_commuting(B, C):
+def _require_commuting(B, C, reason: str = "operands do not commute"):
     scale = max(1.0, float(np.linalg.norm(B)) * float(np.linalg.norm(C)))
     if np.linalg.norm(B @ C - C @ B) > COMMUTE_TOL * scale:
-        raise Inapplicable("operands do not commute")
+        raise Inapplicable(reason)
 
 
 def _ev_prod2(ctx, ops, params):
@@ -171,9 +170,7 @@ def _ev_prod2(ctx, ops, params):
 def _ev_prod1(ctx, ops, params):
     for i, label in ((0, "first"), (1, "second")):
         M = ctx.comp(ops[i])
-        scale = max(1.0, float(np.linalg.norm(M)) ** 2)
-        if np.linalg.norm(M.conj().T @ M - M @ M.conj().T) > 1e-8 * scale:
-            raise Inapplicable(f"{label} operand is not metric-normal")
+        _require_commuting(M.conj().T, M, f"{label} operand is not metric-normal")
     B, C = ctx.comp(ops[0]), ctx.comp(ops[1])
     return ctx.rad(B @ C), ctx.rad(B) * ctx.rad(C), {}
 
@@ -185,18 +182,11 @@ def _family(ctx, ops):
     return fb, S1, G
 
 
-def _ev_ra1_stated(ctx, ops, params):
+def _ra1(ctx, ops, params, stated: bool):
     fb, S1, G = _family(ctx, ops)
-    n = len(fb)
-    W = (n - 2) * G + S1.conj().T @ S1
-    return ctx.nrm(S1) ** 2, ctx.nrm(G) ** 2 + 0.5 * ctx.nrm(W), {}
-
-
-def _ev_ra1_proof(ctx, ops, params):
-    fb, S1, G = _family(ctx, ops)
-    n = len(fb)
-    W = (n - 2) * G + S1.conj().T @ S1
-    return ctx.nrm(S1) ** 2, ctx.nrm(G) + 0.5 * ctx.nrm(W), {}
+    W = (len(fb) - 2) * G + S1.conj().T @ S1
+    g = ctx.nrm(G) ** 2 if stated else ctx.nrm(G)
+    return ctx.nrm(S1) ** 2, g + 0.5 * ctx.nrm(W), {}
 
 
 def _ev_ran(ctx, ops, params):
@@ -309,7 +299,7 @@ def _ev_qa5(ctx, ops, params):
     if w <= 1e-12:
         raise Inapplicable("radius too small to normalize")
     Bh = B / w
-    y = _vec_y(ctx, ops[1])
+    y = ctx.space.compress_vector(ops[1])
     ny = float(np.linalg.norm(y))
     if ny <= 1e-12:
         raise Inapplicable("vector has zero metric norm")
@@ -364,40 +354,33 @@ def _ev_st1(ctx, ops, params):
 def _ev_st2(ctx, ops, params):
     fb, S1, _ = _family(ctx, ops)
     for b in fb:
-        scale = max(1.0, float(np.linalg.norm(S1)) * float(np.linalg.norm(b)))
-        if np.linalg.norm(S1 @ b.conj().T - b.conj().T @ S1) > COMMUTE_TOL * scale:
-            raise Inapplicable("sum does not commute with a member's adjoint")
+        _require_commuting(S1, b.conj().T,
+                           "sum does not commute with a member's adjoint")
     return (ctx.nrm(S1) ** 2,
             2 * ctx.rad(S1) * sum(ctx.rad(b) for b in fb), {})
 
 
-def _ev_buzano(ctx, ops, params):
-    sp = ctx.space
-    x, y, z = ops
-    nz = sp.a_norm(z)
-    if nz <= 1e-12:
-        raise Inapplicable("unit vector has zero metric norm")
-    z = np.asarray(z, dtype=complex).reshape(-1) / nz
-    lhs = abs(sp.a_inner(x, z) * sp.a_inner(z, y))
-    rhs = 0.5 * (sp.a_norm(x) * sp.a_norm(y) + abs(sp.a_inner(x, y)))
-    return lhs, rhs, {}
-
-
 def _alpha(params) -> float:
-    alpha = float(params.get("alpha", 0.5))
+    alpha = params.get("alpha", 0.5)
     if not 0 <= alpha <= 1:
         raise Inapplicable("requires alpha in [0, 1]")
     return alpha
 
 
-def _ev_md1(ctx, ops, params):
-    sp = ctx.space
-    a, b, e = ops
-    alpha = _alpha(params)
+def _unit(sp: SemiHilbertSpace, e) -> np.ndarray:
+    """``e`` scaled to metric norm 1."""
     ne = sp.a_norm(e)
     if ne <= 1e-12:
         raise Inapplicable("unit vector has zero metric norm")
-    e = np.asarray(e, dtype=complex).reshape(-1) / ne
+    return np.asarray(e, dtype=complex).reshape(-1) / ne
+
+
+def _ev_md1(ctx, ops, params):
+    """Also Buzano's inequality, at alpha = 0."""
+    sp = ctx.space
+    a, b, e = ops
+    alpha = _alpha(params)
+    e = _unit(sp, e)
     lhs = abs(sp.a_inner(a, e) * sp.a_inner(e, b))
     rhs = ((1 + alpha) / 2 * sp.a_norm(a) * sp.a_norm(b)
            + (1 - alpha) / 2 * abs(sp.a_inner(a, b)))
@@ -408,13 +391,10 @@ def _ev_md2(ctx, ops, params):
     sp = ctx.space
     a, b, e = ops
     alpha = _alpha(params)
-    r = float(params.get("r", 1.0))
+    r = params.get("r", 1.0)
     if r < 1:
         raise Inapplicable("exponent r must be >= 1")
-    ne = sp.a_norm(e)
-    if ne <= 1e-12:
-        raise Inapplicable("unit vector has zero metric norm")
-    e = np.asarray(e, dtype=complex).reshape(-1) / ne
+    e = _unit(sp, e)
     lhs = abs(sp.a_inner(a, e) * sp.a_inner(e, b)) ** r
     rhs = ((1 + alpha) / 2 * (sp.a_norm(a) * sp.a_norm(b)) ** r
            + (1 - alpha) / 2 * abs(sp.a_inner(a, b)) ** r)
@@ -432,7 +412,7 @@ def _ev_ra2(ctx, ops, params):
 def _ev_md3(ctx, ops, params):
     B = ctx.comp(ops[0])
     alpha = _alpha(params)
-    r = float(params.get("r", 1.0))
+    r = params.get("r", 1.0)
     if r < 1:
         raise Inapplicable("exponent r must be >= 1")
     lhs = ctx.rad(B) ** (2 * r)
@@ -443,11 +423,11 @@ def _ev_md3(ctx, ops, params):
 
 
 def _ev_ag(ctx, ops, params):
-    a = float(params.get("a", 1.0))
-    b = float(params.get("b", 1.0))
-    alpha = float(params.get("alpha", 0.5))
-    r = float(params.get("r", 1.0))
-    p = float(params.get("p", 2.0))
+    a = params.get("a", 1.0)
+    b = params.get("b", 1.0)
+    alpha = params.get("alpha", 0.5)
+    r = params.get("r", 1.0)
+    p = params.get("p", 2.0)
     if a < 0 or b < 0 or not 0 <= alpha <= 1 or r < 1 or p <= 1:
         raise Inapplicable("need a,b >= 0, alpha in [0,1], r >= 1, p > 1")
     q = p / (p - 1)
@@ -475,8 +455,8 @@ def _triples(ctx, ops):
 def _mrq1(ctx, ops, params, stated: bool):
     n, Ts, Xs, Ss = _triples(ctx, ops)
     alpha = _alpha(params)
-    r = float(params.get("r", 1.0))
-    p = float(params.get("p", 2.0))
+    r = params.get("r", 1.0)
+    p = params.get("p", 2.0)
     if p <= 1:
         raise Inapplicable("requires p > 1")
     q = p / (p - 1)
@@ -493,18 +473,10 @@ def _mrq1(ctx, ops, params, stated: bool):
     return lhs, rhs, {}
 
 
-def _ev_mrq1_stated(ctx, ops, params):
-    return _mrq1(ctx, ops, params, stated=True)
-
-
-def _ev_mrq1_proof(ctx, ops, params):
-    return _mrq1(ctx, ops, params, stated=False)
-
-
 def _ev_final1(ctx, ops, params):
     n, Ts, Xs, Ss = _triples(ctx, ops)
     alpha = _alpha(params)
-    r = float(params.get("r", 2.0))
+    r = params.get("r", 2.0)
     if r < 2:
         raise Inapplicable("requires r >= 2")
     comb = sum(
@@ -544,11 +516,12 @@ _CATALOG: list[InequalityCatalogEntry] = [
     InequalityCatalogEntry(
         "RA1.stated",
         "||sum X||^2 <= ||sum X#X||^2 + ||(n-2) sum X#X + (sum X#)(sum X)||/2",
-        "family", _ev_ra1_stated, flagged=True),
+        "family", functools.partial(_ra1, stated=True), flagged=True),
     InequalityCatalogEntry(
         "RA1.proof",
         "||sum X||^2 <= ||sum X#X|| + ||(n-2) sum X#X + (sum X#)(sum X)||/2",
-        "family", _ev_ra1_proof, variant="proof-consistent"),
+        "family", functools.partial(_ra1, stated=False),
+        variant="proof-consistent"),
     InequalityCatalogEntry(
         "RAN", "||sum X||^2 <= n ||sum X#X||", "family", _ev_ran),
     InequalityCatalogEntry(
@@ -617,7 +590,8 @@ _CATALOG: list[InequalityCatalogEntry] = [
         "commuting_family", _ev_st2),
     InequalityCatalogEntry(
         "BUZANO", "|<x,z><z,y>| <= (||x|| ||y|| + |<x,y>|)/2, ||z||_A = 1",
-        "vec_triple", _ev_buzano),
+        "vec_triple",
+        lambda ctx, ops, params: _ev_md1(ctx, ops, {"alpha": 0.0})),
     InequalityCatalogEntry(
         "MD1",
         "|<a,e><e,b>| <= (1+alpha)/2 ||a|| ||b|| + (1-alpha)/2 |<a,b>|",
@@ -637,12 +611,12 @@ _CATALOG: list[InequalityCatalogEntry] = [
     InequalityCatalogEntry(
         "MRQ1.stated",
         "w(sum Tj^a Xj Sj^a)^r <= n^{r-1} ||X||^r sum ||Tj^{2pr}/p + Sj^{2qr}/q||^a",
-        "positive_triples", _ev_mrq1_stated, params=("alpha", "r", "p"),
+        "positive_triples", functools.partial(_mrq1, stated=True), params=("alpha", "r", "p"),
         flagged=True),
     InequalityCatalogEntry(
         "MRQ1.proof",
         "w(sum Tj^a Xj Sj^a)^r <= n^{r-1} ||X||^r sum ||Tj^{pr}/p + Sj^{qr}/q||^a",
-        "positive_triples", _ev_mrq1_proof, params=("alpha", "r", "p"),
+        "positive_triples", functools.partial(_mrq1, stated=False), params=("alpha", "r", "p"),
         variant="proof-consistent"),
     InequalityCatalogEntry(
         "FINAL1",
@@ -711,7 +685,7 @@ class MarginReport:
             "fingerprint": self.fingerprint,
         }
         if self.params:
-            out["params"] = {k: float(v) for k, v in self.params.items()}
+            out["params"] = dict(self.params)
         if self.aux:
             out["aux"] = {k: float(v) for k, v in self.aux.items()}
         if (operands := self.operands) is not None:
@@ -775,21 +749,29 @@ def _check_signature(entry: InequalityCatalogEntry, operands) -> None:
         )
 
 
+def float_params(params: dict | None) -> dict:
+    """The parameters as floats; ConfigError for one that is not finite."""
+    out = {}
+    for key, val in (params or {}).items():
+        try:
+            out[key] = float(val)
+        except (TypeError, ValueError):
+            out[key] = math.nan
+        if not math.isfinite(out[key]):
+            raise ConfigError(f"parameter {key}={val!r} is not a finite number")
+    return out
+
+
 def evaluate(entry_id: str, space: SemiHilbertSpace, operands,
              params: dict | None = None, tol_abs: float = TOL_ABS,
              tol_rel: float = TOL_REL, ctx: EvalContext | None = None) -> MarginReport:
-    """Evaluate one catalog entry on concrete operands."""
+    """Evaluate one catalog entry on concrete operands.  The report holds
+    ``params`` as floats.  A side that is not finite in double precision
+    gives no verdict: it raises ValueError."""
     if not (math.isfinite(tol_abs) and math.isfinite(tol_rel)):
         raise ConfigError(f"tolerances {tol_abs!r}, {tol_rel!r} are not finite")
     entry = get_entry(entry_id)
-    params = dict(params or {})
-    for key, val in params.items():
-        try:
-            finite = math.isfinite(float(val))
-        except (TypeError, ValueError):
-            finite = False
-        if not finite:
-            raise ConfigError(f"parameter {key}={val!r} is not a finite number")
+    params = float_params(params)
     operands = list(operands)
     if ctx is None:
         ctx = EvalContext(space)
@@ -801,7 +783,11 @@ def evaluate(entry_id: str, space: SemiHilbertSpace, operands,
     except Inapplicable as exc:
         return MarginReport(lhs=None, rhs=None, margin=None,
                             status="Inapplicable", reason=str(exc), **common)
+    except OverflowError as exc:
+        raise ValueError(f"{entry_id}: arithmetic overflow ({exc})") from exc
     lhs, rhs = float(lhs), float(rhs)
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ValueError(f"{entry_id}: lhs {lhs} or rhs {rhs} is not finite")
     violated = is_violation(lhs, rhs, tol_abs, tol_rel)
     return MarginReport(lhs=lhs, rhs=rhs, margin=rhs - lhs,
                         status="Violated" if violated else "Satisfied",

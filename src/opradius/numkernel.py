@@ -34,11 +34,6 @@ def frobenius(M: np.ndarray) -> float:
     return float(np.linalg.norm(M))
 
 
-def hermitian_defect(M: np.ndarray) -> float:
-    """Frobenius distance to the Hermitian part, relative-scale ready."""
-    return float(np.linalg.norm(M - M.conj().T))
-
-
 def _fix_phases(V: np.ndarray) -> np.ndarray:
     V = V.copy()
     for j in range(V.shape[1]):
@@ -66,10 +61,9 @@ def hermitian_eig(M) -> tuple[np.ndarray, np.ndarray]:
     if M.shape[0] != M.shape[1]:
         raise NonSquare(f"matrix is {M.shape[0]}x{M.shape[1]}")
     tol = 1e-8 * max(1.0, frobenius(M))
-    if hermitian_defect(M) > tol:
-        raise NotHermitian(
-            f"anti-Hermitian part {hermitian_defect(M):.3e} exceeds {tol:.3e}"
-        )
+    defect = frobenius(M - M.conj().T)
+    if defect > tol:
+        raise NotHermitian(f"anti-Hermitian part {defect:.3e} exceeds {tol:.3e}")
     H = (M + M.conj().T) / 2
     if not H.imag.any():
         # real symmetric input: the real LAPACK driver is 2-4x faster and

@@ -35,15 +35,6 @@ class OperatorClassification:
     a_normal: bool
     a_unitary: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "in_BA": self.in_BA,
-            "a_selfadjoint": self.a_selfadjoint,
-            "a_positive": self.a_positive,
-            "a_normal": self.a_normal,
-            "a_unitary": self.a_unitary,
-        }
-
 
 @dataclass
 class SemiHilbertSpace:
@@ -64,29 +55,6 @@ class SemiHilbertSpace:
     Qn: np.ndarray          # dim x (dim - rank), nullspace basis
     tol: float = DEFAULT_TOL
     _sqrt_lam: np.ndarray = field(repr=False, default=None)
-
-    # -- construction -----------------------------------------------------
-
-    @staticmethod
-    def from_metric(A, tol: float = DEFAULT_TOL) -> "SemiHilbertSpace":
-        # a cutoff >= 1 drops every eigenvalue, a negative one calls a PSD
-        # metric negative, and NaN makes every comparison below false
-        if not 0.0 <= tol < 1.0:
-            raise ConfigError(f"space tolerance {tol!r} is not in [0, 1)")
-        A = as_matrix(A)
-        n = A.shape[0]
-        if A.shape[0] != A.shape[1]:
-            raise NonSquare(f"metric is {A.shape[0]}x{A.shape[1]}")
-        w, V = hermitian_eig(A)
-        lam_max = max(float(w[-1]), 0.0) if n else 0.0
-        if n and float(w[0]) < -tol * max(lam_max, 1e-300):
-            raise NotPSD(f"metric eigenvalue {w[0]:.3e} is negative")
-        keep = w > tol * max(lam_max, 1e-300)
-        Q, lam, Qn = V[:, keep], w[keep], V[:, ~keep]
-        return SemiHilbertSpace(
-            dim=n, metric=A, rank=int(lam.shape[0]), Q=Q, lam=lam, Qn=Qn,
-            tol=tol, _sqrt_lam=np.sqrt(lam),
-        )
 
     @property
     def projector(self) -> np.ndarray:
@@ -217,5 +185,26 @@ class SemiHilbertSpace:
 
 
 def build_space(A, tol: float = DEFAULT_TOL) -> SemiHilbertSpace:
-    """Validate a Hermitian PSD metric and cache its spectral data."""
-    return SemiHilbertSpace.from_metric(A, tol=tol)
+    """Validate a Hermitian PSD metric and factor it as A = Q Lam Q*.
+
+    Eigenvalues at most ``tol * lam_max`` count as zero; one below
+    ``-tol * lam_max`` makes the metric NotPSD.  ``tol`` must lie in
+    [0, 1): a cutoff >= 1 drops every eigenvalue, a negative one calls a
+    PSD metric negative, and NaN makes every comparison false.
+    """
+    if not 0.0 <= tol < 1.0:
+        raise ConfigError(f"space tolerance {tol!r} is not in [0, 1)")
+    A = as_matrix(A)
+    n = A.shape[0]
+    if A.shape[0] != A.shape[1]:
+        raise NonSquare(f"metric is {A.shape[0]}x{A.shape[1]}")
+    w, V = hermitian_eig(A)
+    lam_max = max(float(w[-1]), 0.0) if n else 0.0
+    if n and float(w[0]) < -tol * max(lam_max, 1e-300):
+        raise NotPSD(f"metric eigenvalue {w[0]:.3e} is negative")
+    keep = w > tol * max(lam_max, 1e-300)
+    Q, lam, Qn = V[:, keep], w[keep], V[:, ~keep]
+    return SemiHilbertSpace(
+        dim=n, metric=A, rank=int(lam.shape[0]), Q=Q, lam=lam, Qn=Qn,
+        tol=tol, _sqrt_lam=np.sqrt(lam),
+    )

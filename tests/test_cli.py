@@ -189,12 +189,33 @@ def test_check_inapplicable_exit2(tmp_path, capsys):
              ("MD3", [T], "alpha=-1"),
              ("MD3", [T], "alpha=1.5"),
              ("MD2", [e, e, e], "alpha=-1"),
-             ("MD1", [e, e, e], "alpha=2")]
+             ("MD1", [e, e, e], "alpha=2"),
+             ("POWER", [T], "n=-1"),
+             ("POWER", [T], "n=0"),
+             ("POWER", [T], "n=2.5")]
     for entry, operands, param in cases:
         code, out = run(capsys, ["check", "--id", entry, "--space", pd,
                                  "--operands", *operands, "--params", param])
         assert code == 2, (entry, param)
         assert json.loads(out)["status"] == "Inapplicable", (entry, param)
+    # an integer power whose bound overflows: bad input, not a verdict
+    code = main(["check", "--id", "POWER", "--space", str(DATA / "space_pd.json"),
+                 "--operands", str(DATA / "op_T.json"), "--params", "n=1e6"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "overflow" in captured.err
+
+
+def test_check_non_finite_sides_exit2(tmp_path, capsys):
+    # products of these operands overflow to Inf; no entry may give a verdict
+    space = write_matrix(tmp_path / "eye.json", [[1, 0], [0, 1]])
+    big = write_matrix(tmp_path / "big.json", [[1e200, 0], [1, 1e200]])
+    for entry in ("SUBMULT", "QA1", "RA6"):
+        code = main(["check", "--id", entry, "--space", space,
+                     "--operands", big, big])
+        captured = capsys.readouterr()
+        assert code == 2, entry
+        assert captured.out == "" and captured.err.startswith("error:"), entry
 
 
 def test_check_unknown_id_exit2(files, capsys):

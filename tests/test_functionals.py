@@ -151,6 +151,16 @@ def test_radius_rank_zero_metric_warns():
     assert res.value == res.lo == res.hi == 0.0
 
 
+@pytest.mark.parametrize("M", [[[np.inf, 0], [1, 2]], [[np.nan, 0], [1, 2]],
+                               np.full((2, 2), np.inf)])
+def test_non_finite_matrix_rejected(M):
+    # such a matrix used to give a radius of 0.7071 or -inf and a Crawford
+    # number of 0
+    for fn in (numerical_radius, crawford_number):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            fn(np.array(M, dtype=complex))
+
+
 # -- Crawford number --------------------------------------------------------
 
 def test_crawford_examples():

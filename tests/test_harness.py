@@ -1,10 +1,11 @@
 import copy
+import json
 
 import pytest
 
-from opradius import (EnsembleConfig, build_space, errors, inequalities, replay,
-                      run_fuzz)
-from opradius.harness import build_kit
+from opradius import (EnsembleConfig, build_space, errors, evaluate,
+                      inequalities, list_catalog, replay, run_fuzz)
+from opradius.harness import FAMILY_SIZES, _violation_record, build_kit
 from opradius.numkernel import matrix_from_json
 
 
@@ -102,6 +103,31 @@ def test_kit_covers_every_operand_kind():
             probe = inequalities.InequalityCatalogEntry(
                 id="probe", statement="", operand_kind=kind, evaluator=None)
             inequalities._check_signature(probe, ops)
+
+
+def test_kit_params_cover_every_entry():
+    cfg = small_config(trials=len(FAMILY_SIZES))
+    for trial, n in enumerate(FAMILY_SIZES):
+        kit = build_kit(cfg, trial)
+        assert kit.params["n"] == n == len(kit.operands["family"])
+        for entry in list_catalog():
+            assert set(entry.params) <= set(kit.params), (entry.id, n)
+
+
+def test_power_violation_replays_bit_for_bit():
+    # a negative absolute tolerance forces a violation of the proven POWER
+    # entry; its record must replay with the fingerprint it was signed with
+    cfg = small_config(trials=len(FAMILY_SIZES))
+    for trial, n in enumerate(FAMILY_SIZES):
+        kit = build_kit(cfg, trial)
+        rep = evaluate("POWER", kit.space, kit.operands["single"], {"n": n},
+                       tol_abs=-1e6)
+        assert rep.status == "Violated"
+        rec = json.loads(json.dumps(_violation_record(cfg, trial, kit, rep)))
+        again = replay(rec)
+        assert ((again.status, again.lhs, again.rhs, again.margin,
+                 again.fingerprint)
+                == (rep.status, rep.lhs, rep.rhs, rep.margin, rep.fingerprint))
 
 
 def test_replay_rejects_tampering():
