@@ -12,7 +12,6 @@ from .ensembles import (
     EnsembleConfig,
     random_a_normal,
     random_a_positive,
-    random_a_selfadjoint,
     random_a_unitary,
     random_commuting_family,
     random_in_BA,
@@ -76,7 +75,6 @@ __all__ = [
     "operator_a_norm",
     "random_a_normal",
     "random_a_positive",
-    "random_a_selfadjoint",
     "random_a_unitary",
     "random_commuting_family",
     "random_in_BA",

@@ -85,8 +85,8 @@ def run_case(N: int, potential: str = "sine") -> dict:
 def run_demo(ns=(10, 20, 40), potential: str = "sine") -> list[dict]:
     """Run the bound check for each mesh resolution.
 
-    Both radii come from the cutting-plane kernel of ``functionals``:
-    w_K(S) in closed form (M_S is symmetric), w_K(TS + ST) from 20 to 24
-    evaluations of the rotated top eigenvalue, by Lanczos above 128 rows.
+    Both radii come from the kernel of ``functionals``: w_K(S) in closed
+    form (M_S is symmetric), w_K(TS + ST) from one level-set test up to
+    128 rows and from 20 to 24 Lanczos evaluations above.
     """
     return [run_case(N, potential) for N in ns]

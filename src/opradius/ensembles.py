@@ -97,13 +97,6 @@ def _lift(space: SemiHilbertSpace, M: np.ndarray) -> np.ndarray:
     return space.Q @ core @ space.Q.conj().T
 
 
-def random_a_selfadjoint(space: SemiHilbertSpace, seed) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    r = space.rank
-    G = _ginibre(rng, r, r)
-    return _lift(space, (G + G.conj().T) / 2)
-
-
 def random_a_positive(space: SemiHilbertSpace, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     r = space.rank

@@ -27,12 +27,18 @@ is narrower than ``CUT_RTOL * hi`` plus a rounding allowance of
 ``4 * err`` (``err`` bounds the error of one computed h), and the best
 angle evaluated is narrowed once more.
 
+The dense radius (r <= ``DENSE_SWEEP_MAX``) instead narrows the best seed
+and runs a level-set test (Mengi and Overton 2005; see ``LEVEL_TAU``) at
+the ``hi`` where the cuts would stop: with no crossing, h < hi at every
+angle.  Crossings get h evaluated midway between them (criss-cross) and a
+new test; crossings that raise nothing fall back to the cuts.
+
 ``lo`` is the value itself: the best support line evaluated, attained
 by its eigenvector.  ``hi`` is the bound of the worst gap (radius), or
 the distance from 0 to the inner polygon (Crawford number; 0 when that
 polygon holds 0), each with its rounding allowance.  Where W(M) is
 close to a disk about 0 (a nilpotent shift, say), h is nearly constant
-and no polygon with few sides is tight: the steps stop at ``CUT_STEPS``
+and no polygon with few sides is tight: the cuts stop at ``CUT_STEPS``
 with a wider enclosure, while the value is still the narrowed maximum.
 """
 from __future__ import annotations
@@ -60,8 +66,22 @@ CUT_STEPS = 64
 # in at most REFINE_STEPS evaluations.
 REFINE_WIDTH = 1e-12
 REFINE_STEPS = 64
-# Above this size the top eigenpair switches from dense solves to Lanczos.
+# Above this size: Lanczos for the top eigenpair, cuts for the radius.
 DENSE_SWEEP_MAX = 128
+# Level-set test, at most LEVEL_ROUNDS criss-cross rounds: t is an
+# eigenvalue of Re(e^{-i psi} M) exactly when z = e^{i psi} solves
+# z^2 M* - 2 t z I + M = 0, here solved in w, z = (w + b) / (1 + conj(b) w),
+# b = LEVEL_BETA, which keeps the unit circle and ||w| - 1| >= ||z| - 1|/2.1.
+# At a maximum of h, 0 <= -h'' <= h (h is a support function), so at
+# t = w(M) (1 + delta) the eigenvalue pair meeting on the circle at t = w(M)
+# lies at psi* +- i sqrt(2 w delta / -h''), >= sqrt(2 delta) off it: 6.6e-6
+# in w for delta >= CUT_RTOL.  eigvals is backward stable; rounding moves a
+# tangent pair by O(sqrt(eps)) = 1.5e-8.  w crosses when ||w| - 1| <=
+# LEVEL_TAU = 3.9e-7, the geometric mean of sqrt(eps) and sqrt(CUT_RTOL),
+# 26 and 17 times clear; a pair pushed past it peaks O(eps) above t.
+LEVEL_ROUNDS = 4
+LEVEL_BETA = 0.3 + 0.2j
+LEVEL_TAU = (sys.float_info.epsilon * CUT_RTOL) ** 0.25
 _TWO_PI = 2 * math.pi
 
 
@@ -88,29 +108,30 @@ class RadiusResult:
 # the cutting-plane kernel on a compressed matrix
 # ---------------------------------------------------------------------------
 
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
+        raise ValueError(f"{x} is not finite: the matrix overflows")
+    return x
+
+
 def _split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    H = (M + M.conj().T) / 2
-    K = (M - M.conj().T) / 2j
-    return H, K
+    # halve first: M + M* overflows for entries above half the largest float
+    M2, Ms2 = M / 2, M.conj().T / 2
+    return M2 + Ms2, (M2 - Ms2) / 1j
 
 
 class _RotatedTop:
     """f(theta) = lam_max(cos(theta) P + sin(theta) R) for Hermitian P, R.
 
     A call returns ``(f, v, f')``: the value, its unit top eigenvector and,
-    by Hellmann-Feynman, the slope ``f' = v*(cos(theta) R - sin(theta) P) v``.
-    ``err`` bounds the error of a computed ``f``.  Small matrices use
-    dense solves (batched for the seed angles); large ones Lanczos with
-    full reorthogonalization (Parlett, The Symmetric Eigenvalue Problem,
-    ch. 13), which converges to lam_max and, after at most r steps, spans
-    the whole space.  It stops once the true residual of its top Ritz
-    pair is at most ``err``, which then bounds the error of f.  The
-    tridiagonal is solved for that test only once the step count has
-    grown by a quarter since the last solve, so all solves together cost
-    about twice the last one, or once the next Lanczos vector has norm at
-    most ``err``, which bounds every Ritz residual.  Every angle starts
-    it from the same seeded random unit vector, so f depends on theta
-    alone.
+    by Hellmann-Feynman, the slope ``f' = v*(cos(theta) R - sin(theta) P) v``;
+    ``err`` bounds the error of a computed ``f``.  Small matrices use dense
+    solves (batched for the seed angles); large ones Lanczos with full
+    reorthogonalization (Parlett, The Symmetric Eigenvalue Problem, ch. 13)
+    from one seeded start vector, so f depends on theta alone.  Lanczos
+    stops at a true top Ritz residual within ``err``, tested once the step
+    count has grown by a quarter (all tests cost about twice the last) or
+    the next Lanczos vector is shorter than ``err``, or after r steps.
     """
 
     _LANCZOS_TOL = 1e-10
@@ -251,6 +272,25 @@ def _inner_gap(za: complex, zb: complex) -> tuple[float, float, float]:
     return abs(q), cmath.phase(-q), cmath.phase(zb / za)
 
 
+def _crossings(M: np.ndarray, t: float) -> np.ndarray | None:
+    """Angles psi, ascending in [0, 2 pi), at which t is an eigenvalue of
+    Re(e^{-i psi} M); None when the pencil cannot be solved in w."""
+    r, b = M.shape[0], LEVEL_BETA
+    bc, Ms, eye = b.conjugate(), M.conj().T, np.eye(r)
+    # (1 + bc w)^2 (z^2 M* - 2 t z I + M) = A2 w^2 + A1 w + A0
+    A2 = Ms - 2 * t * bc * eye + bc * bc * M
+    A0_A1 = np.hstack((b * b * Ms - 2 * t * b * eye + M,
+                       2 * b * Ms - 2 * t * (1 + b * bc) * eye + 2 * bc * M))
+    C = np.eye(2 * r, k=r, dtype=complex)      # the companion matrix
+    try:
+        C[r:] = -np.linalg.solve(A2, A0_A1)
+        w = np.linalg.eigvals(C)
+    except np.linalg.LinAlgError:
+        return None
+    w = w[np.abs(np.abs(w) - 1) <= LEVEL_TAU]
+    return np.sort(np.angle((w + b) / (1 + bc * w)) % _TWO_PI)
+
+
 def _extremum(top: _RotatedTop,
               maximize: bool) -> tuple[float, float, np.ndarray, float]:
     """Extremum of f over the circle as ``(psi, f, top eigenvector, hi)``.
@@ -261,18 +301,13 @@ def _extremum(top: _RotatedTop,
     above.  See the module docstring for the method.
     """
     sign = 1.0 if maximize else -1.0
-    err = top.err
+    err = _finite(top.err)
     # evaluated angles, ascending in [0, 2 pi), with their support values,
     # slopes and points; gap k lies between angles k and k+1 (cyclically)
-    psi: list[float] = []
-    h: list[float] = []
-    dh: list[float] = []
-    z: list[complex] = []
-    # per gap: the bound it gives, the direction to cut it and (Crawford
-    # number) the angle its chord turns about 0
+    psi, h, dh, z = [], [], [], []
+    # per gap, kept once the cuts start: the bound it gives, the direction
+    # to cut it and (Crawford number) the angle its chord turns about 0
     bound: list[float] = []
-    aim: list[float] = []
-    turn: list[float] = []
     best = (0.0, -math.inf, None, 0.0)     # (psi, sign * f, v, sign * f')
 
     def gap(k: int) -> None:
@@ -289,10 +324,11 @@ def _extremum(top: _RotatedTop,
         j = bisect.bisect_left(psi, t)
         if j == len(psi) or psi[j] != t:
             for seq, x in ((psi, t), (h, f), (dh, df),
-                           (z, cmath.rect(1.0, t) * complex(f, df)),
-                           (bound, 0.0), (aim, 0.0), (turn, 0.0)):
+                           (z, cmath.rect(1.0, t) * complex(f, df))):
                 seq.insert(j, x)
-            if len(psi) > SEED_ANGLES:      # the seeds' gaps are set below
+            if bound:
+                for seq in (bound, aim, turn):
+                    seq.insert(j, 0.0)
                 gap(j - 1 if j else len(psi) - 1)
                 gap(j)
         if sign * f > best[1]:
@@ -302,27 +338,56 @@ def _extremum(top: _RotatedTop,
     def slope(t: float) -> float:
         return record(t, *top(t))
 
-    seeds = np.arange(SEED_ANGLES) * (_TWO_PI / SEED_ANGLES)
-    for t, (f, v, df) in zip(seeds.tolist(), top.batch(seeds)):
-        record(t, f, v, df)
-    for k in range(SEED_ANGLES):
-        gap(k)
-
-    for step in range(CUT_STEPS + 1):
-        if maximize:
-            hi = max(bound)
-            k = bound.index(hi)
-            lo = best[1]
+    def narrow() -> None:
+        # narrow the best angle towards the neighbour its slope points to
+        t0, _, _, g0 = best
+        k = bisect.bisect_left(psi, t0)
+        if g0 > 0:
+            j = (k + 1) % len(psi)
+            t1 = t0 + (psi[j] - t0) % _TWO_PI
         else:
-            hi = min(bound)
-            k = bound.index(hi)
+            j = k - 1
+            t1 = t0 - (t0 - psi[j]) % _TWO_PI
+        ends = sorted(((t0, g0), (t1, sign * dh[j])))
+        if ends[0][1] > 0 > ends[1][1]:
+            _illinois(slope, *ends[0], *ends[1])
+
+    def evaluate(theta: np.ndarray) -> None:
+        for t, fvd in zip(theta.tolist(), top.batch(theta)):
+            record(t, *fvd)
+
+    evaluate(np.arange(SEED_ANGLES) * (_TWO_PI / SEED_ANGLES))
+
+    if maximize and top.r <= DENSE_SWEEP_MAX:
+        M = top.P + 1j * top.R
+        for _ in range(LEVEL_ROUNDS):
+            narrow()
+            lo = best[1]
+            # the cut loop's stopping rule, solved for hi (and rounded)
+            hi = (lo + 4 * err) / (1 - CUT_RTOL)
+            while hi - lo > CUT_RTOL * hi + 4 * err:
+                hi = math.nextafter(hi, lo)
+            cross = _crossings(M, hi)
+            if cross is None:
+                break
+            if not cross.size:
+                return (*best[:3], hi)
+            evaluate(cross + np.diff(cross, append=cross[0] + _TWO_PI) / 2)
+            if best[1] <= lo:           # the crossings raised nothing
+                break
+
+    bound, aim, turn = ([0.0] * len(psi) for _ in range(3))
+    for k in range(len(psi)):
+        gap(k)
+    for step in range(CUT_STEPS + 1):
+        hi = max(bound) if maximize else min(bound)
+        k = bound.index(hi)
+        lo = best[1]
+        if not maximize:
             # with 0 off the chords, the inner polygon holds it exactly when
             # it winds around it
-            if hi == 0 or sum(turn) > math.pi:
-                hi = 0.0
-            else:
-                hi += 2 * err
-            lo = max(0.0, best[1])
+            hi = 0.0 if hi == 0 or sum(turn) > math.pi else hi + 2 * err
+            lo = max(0.0, lo)
         if hi - lo <= CUT_RTOL * hi + 4 * err or step == CUT_STEPS:
             break
         # cut the gap that attains the bound: narrow a local extremum
@@ -339,20 +404,8 @@ def _extremum(top: _RotatedTop,
         if len(psi) == n:       # every angle tried was evaluated before
             break
 
-    # finish: narrow the best angle to the sign change of the slope between
-    # it and the neighbouring angle its slope points to
-    t0, _, _, g0 = best
     if maximize or best[1] > 0:
-        k = bisect.bisect_left(psi, t0)
-        if g0 > 0:
-            j = (k + 1) % len(psi)
-            t1 = t0 + (psi[j] - t0) % _TWO_PI
-        else:
-            j = k - 1
-            t1 = t0 - (t0 - psi[j]) % _TWO_PI
-        ends = sorted(((t0, g0), (t1, sign * dh[j])))
-        if ends[0][1] > 0 > ends[1][1]:
-            _illinois(slope, *ends[0], *ends[1])
+        narrow()
     t, f, v, _ = best
     return t, sign * f, v, hi
 
@@ -365,7 +418,7 @@ def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value; 0 for the empty matrix."""
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    return _finite(float(np.linalg.norm(M, 2)))
 
 
 def _radius(M: np.ndarray) -> tuple[float, float, np.ndarray, float]:
@@ -382,23 +435,24 @@ def _radius(M: np.ndarray) -> tuple[float, float, np.ndarray, float]:
         theta = float(-np.angle(m)) % (2 * np.pi) if val > 0 else 0.0
         return val, theta, np.ones(1, dtype=complex), val
     H, K = _split(M)
-    scale = max(1.0, float(np.linalg.norm(M)))
-    if np.linalg.norm(K) <= 1e-12 * scale:
+    nK = np.linalg.norm(K)
+    # an overflowing ||M|| admits no skew part but 0
+    if nK == 0 or nK <= 1e-12 * np.linalg.norm(M) < math.inf:
         # Hermitian: the support function peaks exactly at theta = 0 or pi.
         w, V = np.linalg.eigh(H.real if not H.imag.any() else H)
         if abs(w[-1]) >= abs(w[0]):
             val, theta, vec = float(abs(w[-1])), 0.0, V[:, -1]
         else:
             val, theta, vec = float(abs(w[0])), float(np.pi), V[:, 0]
-        return val, theta, vec, val
+        return _finite(val), theta, vec, val
     # Re(e^{i theta} M) is the support function's matrix at psi = -theta
     psi, val, vec, hi = _extremum(_RotatedTop(H, K), maximize=True)
-    return val, -psi % (2 * np.pi), vec, hi
+    return val, -psi % (2 * np.pi), vec, _finite(hi)
 
 
 def numerical_radius(M: np.ndarray) -> float:
     """Classical numerical radius of a square matrix; ValueError if an
-    entry is NaN or Inf."""
+    entry is NaN or Inf or the result overflows."""
     return _radius(M)[0]
 
 
@@ -417,7 +471,7 @@ def _crawford(M: np.ndarray) -> tuple[float, float]:
 
 def crawford_number(M: np.ndarray) -> float:
     """Distance from the origin to the (convex) numerical range of M;
-    ValueError if an entry is NaN or Inf."""
+    ValueError if an entry is NaN or Inf or the result overflows."""
     return _crawford(M)[0]
 
 

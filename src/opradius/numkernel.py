@@ -142,8 +142,3 @@ def load_json(path):
 
 def load_matrix(path) -> np.ndarray:
     return matrix_from_json(load_json(path))
-
-
-def dump_matrix(M, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(M), fh)

@@ -41,7 +41,7 @@ class SemiHilbertSpace:
     """Validated metric and its thin spectral factorization A = Q Lam Q*.
 
     The only n x n array kept is the metric itself; every other operator
-    (projector, square root, the metric adjoint) is formed from the
+    (the projector, the metric adjoint) is formed from the
     factors ``Q``, ``lam`` and ``Qn`` when it is asked for.  Immutable
     after construction; every method is a pure function of its
     arguments, so instances are safe to share between threads.
@@ -60,11 +60,6 @@ class SemiHilbertSpace:
     def projector(self) -> np.ndarray:
         """Orthogonal projector Q Q* onto the range of the metric."""
         return self.Q @ self.Q.conj().T
-
-    @property
-    def metric_half(self) -> np.ndarray:
-        """PSD square root Q Lam^{1/2} Q* of the metric."""
-        return (self.Q * self._sqrt_lam) @ self.Q.conj().T
 
     # -- vectors -----------------------------------------------------------
 

@@ -137,6 +137,22 @@ def test_compute_bad_file_exit2(files, capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("quantity", ["norm", "radius", "crawford"])
+@pytest.mark.parametrize("metric", ["I2", "space_pd"])
+def test_compute_overflow_exit2(tmp_path, capsys, metric, quantity):
+    # finite entries whose sums overflow used to print Infinity or NaN
+    # (not JSON), or a Crawford number of 0, with exit 0
+    op = write_matrix(tmp_path / "big.json", np.full((2, 2), 1e308))
+    space = (write_matrix(tmp_path / "eye.json", np.eye(2)) if metric == "I2"
+             else str(DATA / "space_pd.json"))
+    code = main(["compute", "--space", space, "--op", op,
+                 "--quantity", quantity])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_check_satisfied_exit0(files, capsys):
     code, out = run(capsys, ["check", "--id", "QA1", "--space", files["space"],
                              "--operands", files["T"], files["S"]])

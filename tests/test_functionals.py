@@ -418,6 +418,32 @@ def test_radius_rotation_and_scaling(seed):
     assert numerical_radius(c * M) == pytest.approx(abs(c) * w, rel=1e-10)
 
 
+@pytest.mark.parametrize("c", [1e-13, 1.0, 1e13])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(SEEDS)
+def test_radius_exact_invariances(c, seed):
+    # w(c e^{i phi} U M U*) = |c| w(M): a unitary similarity, a rotation by a
+    # unimodular scalar and a scaling; a test that treats every small
+    # matrix as Hermitian gets c = 1e-13 wrong
+    M = _shifted(seed) if seed % 2 else _ginibre(seed)[0]
+    rng = np.random.default_rng(seed + 1)
+    r = M.shape[0]
+    U, _ = np.linalg.qr(rng.standard_normal((r, r))
+                        + 1j * rng.standard_normal((r, r)))
+    rot = c * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    w = numerical_radius(M)
+    assert numerical_radius(rot * (U @ M @ U.conj().T)) == pytest.approx(
+        c * w, rel=1e-12, abs=0)
+
+
+def test_radius_of_a_tiny_matrix_is_not_treated_as_hermitian():
+    rng = np.random.default_rng(3)
+    G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    assert numerical_radius(1e-13 * G) / 1e-13 == pytest.approx(
+        numerical_radius(G), rel=1e-12)
+    assert numerical_radius(G) == pytest.approx(4.494108087, rel=1e-9)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(SEEDS)
 def test_crawford_rotation_and_scaling(seed):
@@ -526,7 +552,8 @@ def test_enclosure_certified_for_polygonal_range():
 
 def test_radius_evaluation_count(monkeypatch):
     # a dense angle grid costs hundreds of eigensolves per call; the
-    # cutting planes need about 30, seed angles included
+    # narrowed seeds and the level-set test need about 23, seed angles
+    # included
     counts = []
     call, batch = functionals._RotatedTop.__call__, functionals._RotatedTop.batch
 
@@ -544,3 +571,95 @@ def test_radius_evaluation_count(monkeypatch):
         counts.append(0)
         numerical_radius(_shifted(seed) if seed % 2 else _ginibre(seed)[0])
     assert max(counts) <= 100, sorted(counts)[-5:]
+
+
+# -- level-set certificate --------------------------------------------------
+
+def _certified(M):
+    """``(value, hi)`` of the radius, asserting the cut loop's stopping rule
+    hi - lo <= CUT_RTOL * hi + 4 err."""
+    val, _, _, hi = functionals._radius(M)
+    err = functionals._RotatedTop(*functionals._split(M)).err
+    assert val <= hi
+    assert hi - val <= functionals.CUT_RTOL * hi + 4 * err
+    return val, hi
+
+
+def _count_crossings(monkeypatch):
+    calls = []
+    crossings = functionals._crossings
+
+    def counted(M, t):
+        calls.append(t)
+        return crossings(M, t)
+
+    monkeypatch.setattr(functionals, "_crossings", counted)
+    return calls
+
+
+def _forbid_cuts(monkeypatch):
+    def no_cut(*args):
+        raise AssertionError("the cut loop ran")
+
+    monkeypatch.setattr(functionals, "_outer_gap", no_cut)
+
+
+@pytest.mark.parametrize("r, value", [(2, 0.5), (6, np.cos(np.pi / 7))])
+def test_disk_ranges_certified(r, value, monkeypatch):
+    # W of the r x r shift is the disk of radius cos(pi / (r + 1)): h is
+    # constant, so no polygon with few sides is tight, yet one level-set
+    # test leaves no crossing
+    calls = _count_crossings(monkeypatch)
+    _forbid_cuts(monkeypatch)
+    val, _ = _certified(np.eye(r, k=1, dtype=complex))
+    assert val == pytest.approx(value, rel=1e-14)
+    assert len(calls) == 1
+
+
+def test_dense_template_at_the_sweep_limit_certified(monkeypatch):
+    # the generic r = 128 operator of the benchmark's one-shot query
+    rng = np.random.default_rng([0, 128])
+    sp = random_space(128, 128, rng)
+    M = sp.compression(random_in_BA(sp, rng))
+    calls = _count_crossings(monkeypatch)
+    _forbid_cuts(monkeypatch)
+    val, _ = _certified(M)
+    assert len(calls) == 1
+    # the cut loop left this value 8.2e-4 wide
+    assert val == pytest.approx(1657.0013766115742, rel=1e-12)
+
+
+def test_certified_calls_make_no_cuts(monkeypatch):
+    _forbid_cuts(monkeypatch)
+    for seed in range(40):
+        _certified(_shifted(seed) if seed % 2 else _ginibre(seed)[0])
+
+
+def test_criss_cross_finds_the_higher_peak(monkeypatch):
+    # W(M) is the triangle 1, (1 + 1e-9) e^{i phi}, 0.3i with phi midway
+    # between two seed angles: the best seed, at angle 0, sits on the lower
+    # peak, and the first test crosses near phi
+    phi = 5.5 * 2 * np.pi / functionals.SEED_ANGLES
+    rng = np.random.default_rng(4)
+    U, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                        + 1j * rng.standard_normal((3, 3)))
+    M = (U * [1.0, (1 + 1e-9) * np.exp(1j * phi), 0.3j]) @ U.conj().T
+    calls = _count_crossings(monkeypatch)
+    _forbid_cuts(monkeypatch)
+    val, _ = _certified(M)
+    assert len(calls) == 2
+    assert val == pytest.approx(1 + 1e-9, rel=1e-14)
+
+
+def test_spurious_crossings_fall_back_to_the_cuts(monkeypatch):
+    # every eigenvalue counted as a crossing: the midway evaluations raise
+    # nothing, so the cut loop finishes the call with the value and the
+    # enclosure that it gave before the level-set test existed
+    monkeypatch.setattr(functionals, "LEVEL_TAU", np.inf)
+    calls = _count_crossings(monkeypatch)
+    rng = np.random.default_rng(3)
+    G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    val, hi = _certified(G)
+    assert len(calls) == 1
+    assert val == pytest.approx(4.494108087178651, rel=1e-14)
+    assert hi == pytest.approx(4.494108087568261, rel=1e-14)

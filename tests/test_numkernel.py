@@ -1,4 +1,6 @@
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,7 +134,7 @@ def test_power_addition_law(seed):
 def test_matrix_json_roundtrip(tmp_path):
     M = np.array([[1 + 2j, 0.25], [-1.5j, 3.0]])
     path = tmp_path / "m.json"
-    nk.dump_matrix(M, path)
+    path.write_text(json.dumps(nk.matrix_to_json(M)))
     back = nk.load_matrix(path)
     assert np.array_equal(back, M)
 

@@ -81,7 +81,8 @@ def test_cached_fields_consistent(seed):
     assert np.linalg.norm(sp.Q.conj().T @ sp.Q - np.eye(sp.rank)) <= 1e-12
     if sp.Qn.size:
         assert np.linalg.norm(sp.Qn.conj().T @ sp.Q) <= 1e-12
-    assert np.linalg.norm(sp.metric_half @ sp.metric_half - A) <= 1e-9 * scale
+    half = (sp.Q * sp._sqrt_lam) @ sp.Q.conj().T
+    assert np.linalg.norm(half @ half - A) <= 1e-9 * scale
 
 
 def test_a_norm_reference_vector():
@@ -264,8 +265,9 @@ def test_membership_residual_equals_half_metric_form(d, r):
     # generically outside B_A when r < d
     T = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     res, _ = sp.membership_residual(T)
-    old = np.linalg.norm(sp.metric_half @ T @ sp.Qn)
-    scale = np.linalg.norm(sp.metric_half) * np.linalg.norm(T)
+    half = (sp.Q * sp._sqrt_lam) @ sp.Q.conj().T       # PSD square root of A
+    old = np.linalg.norm(half @ T @ sp.Qn)
+    scale = np.linalg.norm(half) * np.linalg.norm(T)
     assert res == pytest.approx(old, rel=0, abs=1e-13 * scale)
 
 
