@@ -62,8 +62,7 @@ def run_case(N: int, potential: str = "sine") -> dict:
     v = potential_values(N, potential)
     space = build_space(K)
     s = np.sqrt(space.lam)
-    Q = space.Q.real if not np.iscomplexobj(space.Q) else space.Q
-    W = Q.T.conj() @ (v[:, None] * Q)
+    W = space.Q.T.conj() @ (v[:, None] * space.Q)
     M_T = W * (s[:, None] / s[None, :])
     M_S = W / (s[:, None] * s[None, :])
     M_C = M_T @ M_S + M_S @ M_T
@@ -87,6 +86,9 @@ def run_demo(ns=(10, 20, 40), potential: str = "sine") -> list[dict]:
 
     Both radii come from the kernel of ``functionals``: w_K(S) in closed
     form (M_S is symmetric), w_K(TS + ST) from one level-set test up to
-    128 rows and from 20 to 24 Lanczos evaluations above.
+    128 rows and from 20 to 24 Lanczos evaluations above.  An empty list
+    is a ``ConfigError``: there would be no row to satisfy the bound.
     """
+    if not ns:
+        raise ConfigError("no mesh resolution given")
     return [run_case(N, potential) for N in ns]

@@ -207,15 +207,15 @@ class _RotatedTop:
 
 def _illinois(g, a: float, ga: float, b: float, gb: float) -> None:
     """Narrow the sign change of ``g`` on [a, b], ``g(a) > 0 > g(b)``, by
-    Illinois regula falsi: a kink is bracketed like a smooth root.  The
-    caller's ``g`` records the points it evaluates; nothing is returned."""
+    Illinois regula falsi: a kink is bracketed like a smooth root.  It
+    stops at width ``REFINE_WIDTH`` or once the secant point rounds onto
+    an end, where no later step can move the value.  The caller's ``g``
+    records the points it evaluates; nothing is returned."""
     kept = 0                    # +1: b was kept by the last step, -1: a
     for _ in range(REFINE_STEPS):
-        if b - a <= REFINE_WIDTH:
-            return
         t = (a * gb - b * ga) / (gb - ga)
-        if not a < t < b:       # rounding at a tiny bracket
-            t = 0.5 * (a + b)
+        if b - a <= REFINE_WIDTH or not a < t < b:
+            return
         gt = g(t)
         if gt == 0.0:
             return
@@ -302,35 +302,30 @@ def _extremum(top: _RotatedTop,
     """
     sign = 1.0 if maximize else -1.0
     err = _finite(top.err)
-    # evaluated angles, ascending in [0, 2 pi), with their support values,
-    # slopes and points; gap k lies between angles k and k+1 (cyclically)
-    psi, h, dh, z = [], [], [], []
+    # one record (psi, f, f', support point) per evaluated angle, ascending
+    # in [0, 2 pi); gap k lies between records k and k+1 (cyclically)
+    recs: list[tuple[float, float, float, complex]] = []
     # per gap, kept once the cuts start: the bound it gives, the direction
     # to cut it and (Crawford number) the angle its chord turns about 0
-    bound: list[float] = []
+    gaps: list[tuple[float, float, float]] = []
     best = (0.0, -math.inf, None, 0.0)     # (psi, sign * f, v, sign * f')
 
-    def gap(k: int) -> None:
-        j = (k + 1) % len(psi)
+    def gap(k: int) -> tuple[float, float, float]:
+        pa, fa, _, za = recs[k]
+        pb, fb, _, zb = recs[(k + 1) % len(recs)]
         if maximize:
-            bound[k], aim[k] = _outer_gap(psi[k], h[k], z[k], psi[j], h[j],
-                                          z[j], err)
-        else:
-            bound[k], aim[k], turn[k] = _inner_gap(z[k], z[j])
+            return (*_outer_gap(pa, fa, za, pb, fb, zb, err), 0.0)
+        return _inner_gap(za, zb)
 
     def record(t: float, f: float, v: np.ndarray, df: float) -> float:
         nonlocal best
         t %= _TWO_PI
-        j = bisect.bisect_left(psi, t)
-        if j == len(psi) or psi[j] != t:
-            for seq, x in ((psi, t), (h, f), (dh, df),
-                           (z, cmath.rect(1.0, t) * complex(f, df))):
-                seq.insert(j, x)
-            if bound:
-                for seq in (bound, aim, turn):
-                    seq.insert(j, 0.0)
-                gap(j - 1 if j else len(psi) - 1)
-                gap(j)
+        j = bisect.bisect_left(recs, t, key=lambda rec: rec[0])
+        if j == len(recs) or recs[j][0] != t:
+            recs.insert(j, (t, f, df, cmath.rect(1.0, t) * complex(f, df)))
+            if gaps:
+                gaps.insert(j, gap(j))
+                gaps[j - 1] = gap(j - 1)
         if sign * f > best[1]:
             best = (t, sign * f, v, sign * df)
         return sign * df
@@ -338,19 +333,17 @@ def _extremum(top: _RotatedTop,
     def slope(t: float) -> float:
         return record(t, *top(t))
 
-    def narrow() -> None:
-        # narrow the best angle towards the neighbour its slope points to
-        t0, _, _, g0 = best
-        k = bisect.bisect_left(psi, t0)
-        if g0 > 0:
-            j = (k + 1) % len(psi)
-            t1 = t0 + (psi[j] - t0) % _TWO_PI
-        else:
-            j = k - 1
-            t1 = t0 - (t0 - psi[j]) % _TWO_PI
-        ends = sorted(((t0, g0), (t1, sign * dh[j])))
-        if ends[0][1] > 0 > ends[1][1]:
-            _illinois(slope, *ends[0], *ends[1])
+    def narrow(k: int) -> None:
+        # narrow a sign change of the slope across gap k
+        a, _, ga, _ = recs[k]
+        b, _, gb, _ = recs[(k + 1) % len(recs)]
+        if sign * ga > 0 > sign * gb:
+            _illinois(slope, a, sign * ga, a + (b - a) % _TWO_PI, sign * gb)
+
+    def toward_best() -> int:
+        # the gap that the best angle's slope points into
+        k = bisect.bisect_left(recs, best[0], key=lambda rec: rec[0])
+        return k if best[3] > 0 else k - 1
 
     def evaluate(theta: np.ndarray) -> None:
         for t, fvd in zip(theta.tolist(), top.batch(theta)):
@@ -361,7 +354,7 @@ def _extremum(top: _RotatedTop,
     if maximize and top.r <= DENSE_SWEEP_MAX:
         M = top.P + 1j * top.R
         for _ in range(LEVEL_ROUNDS):
-            narrow()
+            narrow(toward_best())
             lo = best[1]
             # the cut loop's stopping rule, solved for hi (and rounded)
             hi = (lo + 4 * err) / (1 - CUT_RTOL)
@@ -376,10 +369,9 @@ def _extremum(top: _RotatedTop,
             if best[1] <= lo:           # the crossings raised nothing
                 break
 
-    bound, aim, turn = ([0.0] * len(psi) for _ in range(3))
-    for k in range(len(psi)):
-        gap(k)
+    gaps.extend(gap(k) for k in range(len(recs)))
     for step in range(CUT_STEPS + 1):
+        bound, aim, turn = zip(*gaps)
         hi = max(bound) if maximize else min(bound)
         k = bound.index(hi)
         lo = best[1]
@@ -392,20 +384,15 @@ def _extremum(top: _RotatedTop,
             break
         # cut the gap that attains the bound: narrow a local extremum
         # inside it, else evaluate towards its aim
-        n = len(psi)
-        j = (k + 1) % n
-        a = psi[k]
-        b = a + (psi[j] - a) % _TWO_PI
-        ga, gb = sign * dh[k], sign * dh[j]
-        if ga > 0 > gb:
-            _illinois(slope, a, ga, b, gb)
-        if len(psi) == n:
+        n = len(recs)
+        narrow(k)
+        if len(recs) == n:
             slope(aim[k])
-        if len(psi) == n:       # every angle tried was evaluated before
+        if len(recs) == n:      # every angle tried was evaluated before
             break
 
     if maximize or best[1] > 0:
-        narrow()
+        narrow(toward_best())
     t, f, v, _ = best
     return t, sign * f, v, hi
 

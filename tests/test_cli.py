@@ -335,6 +335,13 @@ def test_elliptic_too_small_exit2(capsys):
     assert main(["elliptic", "--n", "2"]) == 2
 
 
+@pytest.mark.parametrize("ns", ["", ","])
+def test_elliptic_without_resolutions_exit2(ns, capsys):
+    # no rows would leave every row "satisfied"
+    assert main(["elliptic", "--n", ns]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_catalog_listing(capsys):
     code, out = run(capsys, ["catalog"])
     assert code == 0

@@ -444,6 +444,18 @@ def test_radius_of_a_tiny_matrix_is_not_treated_as_hermitian():
     assert numerical_radius(G) == pytest.approx(4.494108087, rel=1e-9)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "above 128 rows Lanczos stops at the residual 1e-10 * max(1, ||P||_F + "
+    "||R||_F), an absolute floor for small matrices: the radius of 1e-13 G "
+    "comes out 93% low; dropping max(1, .) mends it but moves the mesh "
+    "radii at N = 20 and 40 and their cost"))
+def test_lanczos_radius_of_a_tiny_matrix():
+    rng = np.random.default_rng(3)
+    G = rng.standard_normal((129, 129)) + 1j * rng.standard_normal((129, 129))
+    assert numerical_radius(1e-13 * G) / 1e-13 == pytest.approx(
+        numerical_radius(G), rel=1e-12)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(SEEDS)
 def test_crawford_rotation_and_scaling(seed):
@@ -550,10 +562,10 @@ def test_enclosure_certified_for_polygonal_range():
     assert functionals._crawford(M) == (0.0, 0.0)
 
 
-def test_radius_evaluation_count(monkeypatch):
-    # a dense angle grid costs hundreds of eigensolves per call; the
-    # narrowed seeds and the level-set test need about 23, seed angles
-    # included
+@pytest.fixture
+def evaluations(monkeypatch):
+    # evaluations of the support function, seed angles included, counted
+    # into the last entry
     counts = []
     call, batch = functionals._RotatedTop.__call__, functionals._RotatedTop.batch
 
@@ -567,10 +579,24 @@ def test_radius_evaluation_count(monkeypatch):
 
     monkeypatch.setattr(functionals._RotatedTop, "__call__", counted_call)
     monkeypatch.setattr(functionals._RotatedTop, "batch", counted_batch)
+    return counts
+
+
+def test_radius_evaluation_count(evaluations):
+    # a dense angle grid costs hundreds of eigensolves per call; the
+    # narrowed seeds and the level-set test need about 22
     for seed in range(200):
-        counts.append(0)
+        evaluations.append(0)
         numerical_radius(_shifted(seed) if seed % 2 else _ginibre(seed)[0])
-    assert max(counts) <= 100, sorted(counts)[-5:]
+    assert max(evaluations) <= 100, sorted(evaluations)[-5:]
+
+
+def test_illinois_stops_once_the_secant_rounds_onto_an_end(evaluations):
+    # the slope is within rounding of 0 after a few Illinois steps, and a
+    # step after that could only halve the bracket, never move the value
+    evaluations.append(0)
+    numerical_radius(_shifted(167))
+    assert evaluations[0] <= 25
 
 
 # -- level-set certificate --------------------------------------------------
