@@ -15,17 +15,20 @@ the support point v*Mv = e^{i psi} (h + i h') on it (Hellmann-Feynman).
 
 One cutting-plane kernel serves both extrema (C. R. Johnson 1978;
 F. Uhlig 2009).  The support lines bound an outer polygon that contains
-W(M); the support points span an inner polygon that W(M) contains.  After
-a batch of equally spaced seed angles, each step takes the gap between
-two adjacent evaluated angles that gives the worst bound: the farthest
-point of the outer polygon from 0 (radius), or the point of the inner
-polygon nearest to 0 (Crawford number).  If the slope h' changes sign
-across that gap, a bracketed root-finder narrows the extremum inside it
-(the hybrid of T. Mitchell 2023); otherwise h is evaluated in the
-direction of that point.  The steps stop once the enclosure ``[lo, hi]``
-is narrower than ``CUT_RTOL * hi`` plus a rounding allowance of
-``4 * err`` (``err`` bounds the error of one computed h), and the best
-angle evaluated is narrowed once more.
+W(M); the support points span an inner polygon that W(M) contains.  The
+equally spaced seed angles are read two-ended: the bottom eigenpair at
+psi gives h(psi + pi), and for a real M, whose matrix at -psi is the
+conjugate of that at psi, h(-psi) = h(psi); so one eigensolve gives two
+seeds, or four.  Then each step takes the gap between two adjacent
+evaluated angles that gives the worst bound: the farthest point of the
+outer polygon from 0 (radius), or the point of the inner polygon nearest
+to 0 (Crawford number).  If the slope h' changes sign across that gap, a
+bracketed root-finder narrows the extremum inside it (the hybrid of
+T. Mitchell 2023); otherwise h is evaluated in the direction of that point.
+The steps stop once the enclosure ``[lo, hi]`` is narrower than
+``CUT_RTOL * hi`` plus a rounding allowance of ``4 * err`` (``err``
+bounds the error of one computed h), and the best angle evaluated is
+narrowed once more.
 
 The dense radius (r <= ``DENSE_SWEEP_MAX``) instead narrows the best seed
 and runs a level-set test (Mengi and Overton 2005; see ``LEVEL_TAU``) at
@@ -53,12 +56,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpaceWarning, NotInBA, UnboundedForm
-from .numkernel import as_matrix
+from .numkernel import as_matrix, frobenius
 from .space import SemiHilbertSpace
 
-# Cutting-plane kernel: SEED_ANGLES equally spaced support lines (at
-# least 4: _outer_gap needs gaps of at most pi/2), then at most CUT_STEPS
-# cuts until the enclosure is CUT_RTOL wide.
+# Cutting-plane kernel: SEED_ANGLES equally spaced support lines (even,
+# for antipodal pairs, and at least 4: _outer_gap needs gaps of at most
+# pi/2), then at most CUT_STEPS cuts until the enclosure is CUT_RTOL wide.
 SEED_ANGLES = 16
 CUT_RTOL = 1e-10
 CUT_STEPS = 64
@@ -125,13 +128,16 @@ class _RotatedTop:
 
     A call returns ``(f, v, f')``: the value, its unit top eigenvector and,
     by Hellmann-Feynman, the slope ``f' = v*(cos(theta) R - sin(theta) P) v``;
-    ``err`` bounds the error of a computed ``f``.  Small matrices use dense
-    solves (batched for the seed angles); large ones Lanczos with full
-    reorthogonalization (Parlett, The Symmetric Eigenvalue Problem, ch. 13)
-    from one seeded start vector, so f depends on theta alone.  Lanczos
-    stops at a true top Ritz residual within ``err``, tested once the step
-    count has grown by a quarter (all tests cost about twice the last) or
-    the next Lanczos vector is shorter than ``err``, or after r steps.
+    ``err`` bounds the error of a computed ``f``.  ``seeds`` reads two
+    seeds from each solve, four when M = P + iR is real.  Small matrices
+    use dense solves (batched for ``seeds`` and ``batch``); large ones
+    Lanczos with full reorthogonalization (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 13) from one seeded start vector, so a call's
+    f depends on theta alone, a seed's also on the solve it is read from.
+    Lanczos stops at true Ritz residuals within ``err``, tested once the
+    step count has grown by a quarter (all tests cost about twice the
+    last) or the next Lanczos vector is shorter than ``err``, or after r
+    steps.
     """
 
     _LANCZOS_TOL = 1e-10
@@ -141,65 +147,92 @@ class _RotatedTop:
         self.r = P.shape[0]
         # a dense solve errs by a small multiple of eps * ||cos P + sin R||;
         # Lanczos stops at a residual that bounds its error
-        scale = float(np.linalg.norm(P) + np.linalg.norm(R))
+        scale = frobenius(P) + frobenius(R)
         if self.r <= DENSE_SWEEP_MAX:
             self.err = 8 * self.r * sys.float_info.epsilon * scale
         else:
-            self.err = self._LANCZOS_TOL * max(1.0, scale)
+            self.err = self._LANCZOS_TOL * scale
             rng = np.random.default_rng(0x5EED)
             x = rng.standard_normal(self.r) + 1j * rng.standard_normal(self.r)
             self._start = x / np.linalg.norm(x)
 
-    def batch(self, theta: np.ndarray) -> list[tuple[float, np.ndarray, float]]:
-        """``[self(t) for t in theta]``, as one batched solve when dense."""
-        if self.r > DENSE_SWEEP_MAX:
-            return [self(t) for t in theta]
-        c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
-        w, U = np.linalg.eigh(c[:, :, None] * self.P + s[:, :, None] * self.R)
+    def _slopes(self, c: np.ndarray, s: np.ndarray, V: np.ndarray) -> list[float]:
+        # row k of V: a unit eigenvector at (c[k], s[k])
+        return np.einsum("ki,ki->k", V.conj(), c[:, None] * (V @ self.R.T)
+                         - s[:, None] * (V @ self.P.T)).real.tolist()
+
+    def batch(self, theta: np.ndarray) -> list[tuple[float, float, np.ndarray, float]]:
+        """``(t, *self(t))`` for t in theta, by one batched dense solve."""
+        c, s = np.cos(theta), np.sin(theta)
+        w, U = np.linalg.eigh(c[:, None, None] * self.P + s[:, None, None] * self.R)
         V = U[:, :, -1]                     # row k: top eigenvector at theta[k]
-        slope = np.einsum("ki,ki->k", V.conj(),
-                          c * (V @ self.R.T) - s * (V @ self.P.T)).real
-        return list(zip(w[:, -1].tolist(), V, slope.tolist()))
+        return list(zip(theta.tolist(), w[:, -1].tolist(), V, self._slopes(c, s, V)))
+
+    def seeds(self) -> list[tuple[float, float, np.ndarray, float]]:
+        """``(theta, f, v, f')`` at the ``SEED_ANGLES`` angles 2 pi k / n,
+        k = 0..n-1, read from solves at k < n/2, or k <= n/4 when M is real."""
+        n = SEED_ANGLES
+        theta = np.arange(n) * (_TWO_PI / n)
+        # M = P + iR is real exactly when P is real and R imaginary
+        real = not (self.P.imag.any() or self.R.real.any())
+        k = np.arange(n // 4 + 1 if real else n // 2)
+        c, s = np.cos(theta[k]), np.sin(theta[k])
+        if self.r <= DENSE_SWEEP_MAX:
+            w, U = np.linalg.eigh(c[:, None, None] * self.P + s[:, None, None] * self.R)
+        else:
+            w, U = map(np.array, zip(*(self._lanczos(a, b, [0, -1]) for a, b in zip(c, s))))
+        # the bottom eigenpair at theta is the top one at theta + pi
+        f, V = np.hstack((w[:, -1], -w[:, 0])), np.vstack((U[:, :, -1], U[:, :, 0]))
+        k, c, s = np.hstack((k, k + n // 2)), np.hstack((c, -c)), np.hstack((s, -s))
+        recs = dict(zip(k.tolist(), zip(f.tolist(), V, self._slopes(c, s, V))))
+        if real:
+            for j, (f, v, df) in list(recs.items()):
+                recs.setdefault(-j % n, (f, v.conj(), -df))
+        return [(t, *recs[j]) for j, t in enumerate(theta.tolist())]
 
     def __call__(self, theta: float) -> tuple[float, np.ndarray, float]:
         c, s = math.cos(theta), math.sin(theta)
         if self.r <= DENSE_SWEEP_MAX:
             w, U = np.linalg.eigh(c * self.P + s * self.R)
-            lam, v = float(w[-1]), U[:, -1]
         else:
-            lam, v = self._lanczos_top(c, s)
+            w, U = self._lanczos(c, s, [-1])
+        lam, v = float(w[-1]), U[:, -1]
         # f = c v*Pv + s v*Rv gives one form from the other, so the slope
         # c v*Rv - s v*Pv needs only the form whose weight is larger
         if abs(c) >= abs(s):
             return lam, v, (float(np.vdot(v, self.R @ v).real) - s * lam) / c
         return lam, v, (c * lam - float(np.vdot(v, self.P @ v).real)) / s
 
-    def _lanczos_top(self, c: float, s: float) -> tuple[float, np.ndarray]:
-        # rows of Q: the Lanczos basis; rows of W: H applied to them; T:
+    def _lanczos(self, c: float, s: float,
+                 ends: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Ritz values and vectors (columns) of cos P + sin R, as ``eigh``
+        gives them, at the ends (0: bottom, -1: top) of the spectrum."""
+        # rows of Qc: the conjugated Lanczos basis, so that Qc @ w holds
+        # its inner products with w; rows of W: H applied to the basis; T:
         # the tridiagonal matrix Q* H Q (its lower half)
         r = self.r
         H = c * self.P + s * self.R
-        Q = np.empty((r, r), complex)
+        Qc = np.empty((r, r), complex)
         W = np.empty((r, r), complex)
         T = np.zeros((r, r))
         q = self._start
         check = 1
         for k in range(r):
-            Q[k] = q
+            Qc[k] = q.conj()
             W[k] = w = H @ q
             T[k, k] = np.vdot(q, w).real
             for _ in range(2):          # full reorthogonalization, twice
-                w = w - (Q[:k + 1].conj() @ w) @ Q[:k + 1]
+                w = w - (np.conj(Qc[:k + 1] @ w) @ Qc[:k + 1]).conj()
             beta = float(np.linalg.norm(w))
             if k + 1 >= check or beta <= self.err or k == r - 1:
                 theta, Y = np.linalg.eigh(T[:k + 1, :k + 1])
-                lam, y = float(theta[-1]), Y[:, -1]
-                x = y @ Q[:k + 1]
-                # stop at a true residual within err, or once Q spans the
+                theta, Y = theta[ends], Y[:, ends]
+                X = (Qc[:k + 1].T @ Y).conj()
+                # stop at true residuals within err, or once Q spans the
                 # whole space
-                if (k == r - 1
-                        or np.linalg.norm(y @ W[:k + 1] - lam * x) <= self.err):
-                    return lam, x
+                res = np.linalg.norm(W[:k + 1].T @ Y - X * theta, axis=0)
+                if k == r - 1 or res.max() <= self.err:
+                    return theta, X
                 check = math.ceil(1.25 * (k + 1))
             T[k + 1, k] = beta
             q = w / beta
@@ -267,7 +300,8 @@ def _inner_gap(za: complex, zb: complex) -> tuple[float, float, float]:
     ee = e.real * e.real + e.imag * e.imag
     t = min(1.0, max(0.0, -(e.conjugate() * za).real / ee)) if ee > 0 else 0.0
     q = za + t * e
-    if q == 0:
+    # within the rounding of q, 0 is on the chord
+    if abs(q) <= 4 * sys.float_info.epsilon * (abs(za) + abs(zb)):
         return 0.0, 0.0, 0.0
     return abs(q), cmath.phase(-q), cmath.phase(zb / za)
 
@@ -345,11 +379,8 @@ def _extremum(top: _RotatedTop,
         k = bisect.bisect_left(recs, best[0], key=lambda rec: rec[0])
         return k if best[3] > 0 else k - 1
 
-    def evaluate(theta: np.ndarray) -> None:
-        for t, fvd in zip(theta.tolist(), top.batch(theta)):
-            record(t, *fvd)
-
-    evaluate(np.arange(SEED_ANGLES) * (_TWO_PI / SEED_ANGLES))
+    for rec in top.seeds():
+        record(*rec)
 
     if maximize and top.r <= DENSE_SWEEP_MAX:
         M = top.P + 1j * top.R
@@ -365,7 +396,8 @@ def _extremum(top: _RotatedTop,
                 break
             if not cross.size:
                 return (*best[:3], hi)
-            evaluate(cross + np.diff(cross, append=cross[0] + _TWO_PI) / 2)
+            for rec in top.batch(cross + np.diff(cross, append=cross[0] + _TWO_PI) / 2):
+                record(*rec)
             if best[1] <= lo:           # the crossings raised nothing
                 break
 
@@ -405,7 +437,7 @@ def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value; 0 for the empty matrix."""
     if M.size == 0:
         return 0.0
-    return _finite(float(np.linalg.norm(M, 2)))
+    return _finite(float(np.linalg.svd(M, compute_uv=False)[0]))
 
 
 def _radius(M: np.ndarray) -> tuple[float, float, np.ndarray, float]:
@@ -422,9 +454,9 @@ def _radius(M: np.ndarray) -> tuple[float, float, np.ndarray, float]:
         theta = float(-np.angle(m)) % (2 * np.pi) if val > 0 else 0.0
         return val, theta, np.ones(1, dtype=complex), val
     H, K = _split(M)
-    nK = np.linalg.norm(K)
+    nK = frobenius(K)
     # an overflowing ||M|| admits no skew part but 0
-    if nK == 0 or nK <= 1e-12 * np.linalg.norm(M) < math.inf:
+    if nK == 0 or nK <= 1e-12 * frobenius(M) < math.inf:
         # Hermitian: the support function peaks exactly at theta = 0 or pi.
         w, V = np.linalg.eigh(H.real if not H.imag.any() else H)
         if abs(w[-1]) >= abs(w[0]):
@@ -489,7 +521,7 @@ def a_numerical_radius(space: SemiHilbertSpace, T) -> RadiusResult:
                             0.0, 0.0)
     val, theta, vec, hi = _radius(M)
     form = complex(vec.conj() @ (M @ vec))
-    gap = abs(val - abs(form)) + 1e-12 * max(1.0, float(np.linalg.norm(M)))
+    gap = abs(val - abs(form)) + 1e-12 * max(1.0, frobenius(M))
     x = space.lift_vector(vec)
     nx = space.a_norm(x)
     if nx > 0:

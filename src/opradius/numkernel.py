@@ -31,7 +31,13 @@ def as_matrix(a) -> np.ndarray:
 
 
 def frobenius(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M))
+    """Frobenius norm; where its sum of squares overflows, that of M
+    divided by its largest entry, times that entry."""
+    n = float(np.linalg.norm(M))
+    if n == np.inf:
+        m = float(np.abs(M).max())
+        n = m * float(np.linalg.norm(M / m))
+    return n
 
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:

@@ -444,12 +444,9 @@ def test_radius_of_a_tiny_matrix_is_not_treated_as_hermitian():
     assert numerical_radius(G) == pytest.approx(4.494108087, rel=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "above 128 rows Lanczos stops at the residual 1e-10 * max(1, ||P||_F + "
-    "||R||_F), an absolute floor for small matrices: the radius of 1e-13 G "
-    "comes out 93% low; dropping max(1, .) mends it but moves the mesh "
-    "radii at N = 20 and 40 and their cost"))
 def test_lanczos_radius_of_a_tiny_matrix():
+    # Lanczos stops at a residual relative to ||P||_F + ||R||_F; an absolute
+    # floor of 1e-10 left the radius of 1e-13 G 93% low
     rng = np.random.default_rng(3)
     G = rng.standard_normal((129, 129)) + 1j * rng.standard_normal((129, 129))
     assert numerical_radius(1e-13 * G) / 1e-13 == pytest.approx(
@@ -483,6 +480,28 @@ def test_compressed_level_helpers():
     assert spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2))
     assert numerical_radius(np.zeros((0, 0))) == 0.0
     assert numerical_radius(np.array([[2j]])) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (3, 7), (7, 3)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_spectral_norm_is_the_matrix_2_norm(shape, kind):
+    # the largest singular value, bit for bit the same LAPACK result
+    rng = np.random.default_rng(list(shape))
+    M = rng.standard_normal(shape)
+    if kind == "complex":
+        M = M + 1j * rng.standard_normal(shape)
+    assert spectral_norm(M) == np.linalg.norm(M, 2)
+
+
+def test_radius_and_crawford_number_of_a_huge_matrix():
+    # ||Re M||_F squares entries of 1e200: an error scale from it used to
+    # overflow, and both functionals raised ValueError on a finite value
+    M = np.array([[1e200, 1e200], [1e200j, 1e200]])
+    assert numerical_radius(M) == pytest.approx(
+        1e200 * numerical_radius(M / 1e200), rel=1e-14)
+    assert crawford_number(M) == pytest.approx(
+        1e200 * crawford_number(M / 1e200), rel=1e-14)
+    assert numerical_radius(M) <= spectral_norm(M)
 
 
 # -- cutting-plane kernel ---------------------------------------------------
@@ -553,7 +572,8 @@ def test_crawford_enclosure_off_centre(seed):
 def test_enclosure_certified_for_polygonal_range():
     # W(M) is the triangle 3, 3i, -2 rotated by 0.3: the radius sits at
     # the vertex e^{0.3i} 3, which two support lines pin down exactly,
-    # and 0 lies inside, which the support points' polygon certifies
+    # and 0 lies on the edge from 3 to -2, which a chord of the support
+    # points' polygon certifies to within its rounding
     M = np.exp(0.3j) * np.diag([3, 3j, -2, 1 + 1j])
     res = a_numerical_radius(build_space(np.eye(4)), M)
     assert res.value == pytest.approx(3.0, abs=1e-12)
@@ -562,12 +582,26 @@ def test_enclosure_certified_for_polygonal_range():
     assert functionals._crawford(M) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("P", [np.diag([3, 3j, -2, 1 + 1j]), np.diag([1, -1, 2j]),
+                               np.diag([2 + 1j, -4 - 2j, 1 - 2j, 0.5j])],
+                         ids=["triangle", "line", "quadrilateral"])
+def test_crawford_number_of_ranges_with_0_on_an_edge(P):
+    # 0 lies on an edge of W(M): the nearest point of a chord through it is
+    # 0 only up to rounding, and 0 on a chord used to be certified only
+    # when the rounding left q exactly 0 or the chords' turns summed past pi
+    for phi in np.arange(60) * (2 * np.pi / 60):
+        value, hi = functionals._crawford(np.exp(1j * phi) * P)
+        assert value <= hi
+        assert (value, hi) == (0.0, 0.0), phi
+
+
 @pytest.fixture
 def evaluations(monkeypatch):
-    # evaluations of the support function, seed angles included, counted
-    # into the last entry
+    # values of the support function, seed angles included, counted into
+    # the last entry
     counts = []
-    call, batch = functionals._RotatedTop.__call__, functionals._RotatedTop.batch
+    top = functionals._RotatedTop
+    call, batch, seeds = top.__call__, top.batch, top.seeds
 
     def counted_call(self, t):
         counts[-1] += 1
@@ -577,8 +611,14 @@ def evaluations(monkeypatch):
         counts[-1] += len(theta)
         return batch(self, theta)
 
-    monkeypatch.setattr(functionals._RotatedTop, "__call__", counted_call)
-    monkeypatch.setattr(functionals._RotatedTop, "batch", counted_batch)
+    def counted_seeds(self):
+        out = seeds(self)
+        counts[-1] += len(out)
+        return out
+
+    monkeypatch.setattr(top, "__call__", counted_call)
+    monkeypatch.setattr(top, "batch", counted_batch)
+    monkeypatch.setattr(top, "seeds", counted_seeds)
     return counts
 
 
@@ -642,11 +682,15 @@ def test_disk_ranges_certified(r, value, monkeypatch):
     assert len(calls) == 1
 
 
+def _template(r):
+    # the generic r x r operator of the benchmark's one-shot query
+    rng = np.random.default_rng([0, r])
+    sp = random_space(r, r, rng)
+    return sp.compression(random_in_BA(sp, rng))
+
+
 def test_dense_template_at_the_sweep_limit_certified(monkeypatch):
-    # the generic r = 128 operator of the benchmark's one-shot query
-    rng = np.random.default_rng([0, 128])
-    sp = random_space(128, 128, rng)
-    M = sp.compression(random_in_BA(sp, rng))
+    M = _template(128)
     calls = _count_crossings(monkeypatch)
     _forbid_cuts(monkeypatch)
     val, _ = _certified(M)
@@ -661,15 +705,20 @@ def test_certified_calls_make_no_cuts(monkeypatch):
         _certified(_shifted(seed) if seed % 2 else _ginibre(seed)[0])
 
 
-def test_criss_cross_finds_the_higher_peak(monkeypatch):
+def _criss_cross():
     # W(M) is the triangle 1, (1 + 1e-9) e^{i phi}, 0.3i with phi midway
-    # between two seed angles: the best seed, at angle 0, sits on the lower
-    # peak, and the first test crosses near phi
+    # between two seed angles
     phi = 5.5 * 2 * np.pi / functionals.SEED_ANGLES
     rng = np.random.default_rng(4)
     U, _ = np.linalg.qr(rng.standard_normal((3, 3))
                         + 1j * rng.standard_normal((3, 3)))
-    M = (U * [1.0, (1 + 1e-9) * np.exp(1j * phi), 0.3j]) @ U.conj().T
+    return (U * [1.0, (1 + 1e-9) * np.exp(1j * phi), 0.3j]) @ U.conj().T
+
+
+def test_criss_cross_finds_the_higher_peak(monkeypatch):
+    # the best seed, at angle 0, sits on the lower peak, and the first
+    # test crosses near phi
+    M = _criss_cross()
     calls = _count_crossings(monkeypatch)
     _forbid_cuts(monkeypatch)
     val, _ = _certified(M)
@@ -689,3 +738,76 @@ def test_spurious_crossings_fall_back_to_the_cuts(monkeypatch):
     assert len(calls) == 1
     assert val == pytest.approx(4.494108087178651, rel=1e-14)
     assert hi == pytest.approx(4.494108087568261, rel=1e-14)
+
+
+# -- two-ended seeds --------------------------------------------------------
+
+def _gaussian(r, real=False):
+    rng = np.random.default_rng([2, r])
+    G = rng.standard_normal((r, r))
+    return G if real else G + 1j * rng.standard_normal((r, r))
+
+
+def _spurious_crossings(monkeypatch):
+    # six crossings, so the criss-cross midpoints are not antipodal pairs
+    monkeypatch.setattr(functionals, "LEVEL_TAU", np.inf)
+    return _gaussian(3)
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda mp, r=r: _gaussian(r) for r in range(2, 7)),
+    lambda mp: _template(128), lambda mp: _ginibre_129(),
+    lambda mp: _gaussian(5, real=True),
+    lambda mp: _mesh_anticommutator(10),
+    lambda mp: _gaussian(129, real=True),
+    lambda mp: _criss_cross(), _spurious_crossings,
+], ids=[*(f"dense{r}" for r in range(2, 7)), "dense128", "lanczos129", "real5",
+        "mesh10", "real129", "criss-cross", "spurious-crossings"])
+def test_every_solved_record_matches_a_single_solve(make, monkeypatch):
+    # each (f, v, f') read from a seed solve or a batch is the one a solve
+    # at its own angle gives, to within err: a record read off as the
+    # antipode or mirror of an angle that is not one is caught here
+    solved = []
+    top = functionals._RotatedTop
+    seeds, batch = top.seeds, top.batch
+
+    def recorded_seeds(self):
+        out = seeds(self)
+        solved.extend((self, *rec) for rec in out)
+        return out
+
+    def recorded_batch(self, theta):
+        out = batch(self, theta)
+        solved.extend((self, *rec) for rec in out)
+        return out
+
+    monkeypatch.setattr(top, "seeds", recorded_seeds)
+    monkeypatch.setattr(top, "batch", recorded_batch)
+    M = make(monkeypatch)
+    functionals._radius(M)
+    assert len(solved) >= functionals.SEED_ANGLES
+    for rot, t, f, v, df in solved:
+        f1, _, df1 = rot(t)
+        H = np.cos(t) * rot.P + np.sin(t) * rot.R
+        assert abs(f - f1) <= rot.err and abs(df - df1) <= rot.err, t
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(H @ v - f * v) <= rot.err, t
+
+
+@pytest.mark.parametrize("real, solves", [(False, 8), (True, 5)])
+def test_seed_step_solves_half_the_seeds_or_fewer(real, solves, monkeypatch):
+    # antipodes halve the 16 seed solves; mirror pairs of a real matrix
+    # leave the angles 0, pi/8, ..., pi/2
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rot = functionals._RotatedTop(*functionals._split(_gaussian(5, real)))
+    seeds = rot.seeds()
+    assert shapes == [(solves, 5, 5)]
+    assert [t for t, *_ in seeds] == (np.arange(functionals.SEED_ANGLES) * (
+        2 * np.pi / functionals.SEED_ANGLES)).tolist()
