@@ -36,6 +36,17 @@ the ``hi`` where the cuts would stop: with no crossing, h < hi at every
 angle.  Crossings get h evaluated midway between them (criss-cross) and a
 new test; crossings that raise nothing fall back to the cuts.
 
+The kernel runs as steps: generators that yield their eigensolves and
+level-set tests as requests and are sent the answers.  ``_drive`` runs
+the steps of many matrices in lockstep and answers the requests of each
+kind and size together: one stacked ``eigh`` per kind of eigensolve and
+round, one stacked ``solve`` and ``eigvals`` per round of level-set
+tests.  Each answer
+depends on its own request alone, so a radius solved among others
+(``_radii``) is bit-identical to one solved alone.  A fuzz trial learns
+the radii its catalog entries ask for in a recording pass and solves them
+in one such call (``inequalities.EvalContext``).
+
 ``lo`` is the value itself: the best support line evaluated, attained
 by its eigenvector.  ``hi`` is the bound of the worst gap (radius), or
 the distance from 0 to the inner polygon (Crawford number; 0 when that
@@ -48,6 +59,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
 import sys
 import warnings
@@ -123,21 +135,32 @@ def _split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return M2 + Ms2, (M2 - Ms2) / 1j
 
 
+@functools.cache
+def _seed_angles(n: int, real: bool) -> tuple[list, list, np.ndarray, np.ndarray]:
+    # the n seed angles, the indices of the solved ones and of their
+    # antipodes, and cos and sin at the solved ones, shared read-only
+    theta = np.arange(n) * (_TWO_PI / n)
+    k = np.arange(n // 4 + 1 if real else n // 2)
+    c, s = np.cos(theta[k]), np.sin(theta[k])
+    c.flags.writeable = s.flags.writeable = False
+    return theta.tolist(), k.tolist() + (k + n // 2).tolist(), c, s
+
+
 class _RotatedTop:
     """f(theta) = lam_max(cos(theta) P + sin(theta) R) for Hermitian P, R.
 
-    A call returns ``(f, v, f')``: the value, its unit top eigenvector and,
-    by Hellmann-Feynman, the slope ``f' = v*(cos(theta) R - sin(theta) P) v``;
+    Its methods are kernel steps (see ``_drive``).  A call returns
+    ``(f, v, f')``: the value, its unit top eigenvector and, by
+    Hellmann-Feynman, the slope ``f' = v*(cos(theta) R - sin(theta) P) v``;
     ``err`` bounds the error of a computed ``f``.  ``seeds`` reads two
     seeds from each solve, four when M = P + iR is real.  Small matrices
-    use dense solves (batched for ``seeds`` and ``batch``); large ones
-    Lanczos with full reorthogonalization (Parlett, The Symmetric
-    Eigenvalue Problem, ch. 13) from one seeded start vector, so a call's
-    f depends on theta alone, a seed's also on the solve it is read from.
-    Lanczos stops at true Ritz residuals within ``err``, tested once the
-    step count has grown by a quarter (all tests cost about twice the
-    last) or the next Lanczos vector is shorter than ``err``, or after r
-    steps.
+    use dense solves; large ones Lanczos with full reorthogonalization
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 13) from one seeded
+    start vector, so a call's f depends on theta alone, a seed's also on
+    the solve it is read from.  Lanczos stops at true Ritz residuals
+    within ``err``, tested once the step count has grown by a quarter (all
+    tests cost about twice the last) or the next Lanczos vector is shorter
+    than ``err``, or after r steps.
     """
 
     _LANCZOS_TOL = 1e-10
@@ -156,52 +179,38 @@ class _RotatedTop:
             x = rng.standard_normal(self.r) + 1j * rng.standard_normal(self.r)
             self._start = x / np.linalg.norm(x)
 
-    def _slopes(self, c: np.ndarray, s: np.ndarray, V: np.ndarray) -> list[float]:
-        # row k of V: a unit eigenvector at (c[k], s[k])
-        return np.einsum("ki,ki->k", V.conj(), c[:, None] * (V @ self.R.T)
-                         - s[:, None] * (V @ self.P.T)).real.tolist()
+    def rows(self, c: np.ndarray, s: np.ndarray, both: bool):
+        """``(f, V, f')`` at the angles (c[k], s[k]), then, if ``both``, at
+        their antipodes, read from the bottom eigenpairs: f and f' as lists,
+        the top eigenvectors as the rows of V."""
+        return (yield _rows, self.r, (self, c, s, both))
 
-    def batch(self, theta: np.ndarray) -> list[tuple[float, float, np.ndarray, float]]:
-        """``(t, *self(t))`` for t in theta, by one batched dense solve."""
-        c, s = np.cos(theta), np.sin(theta)
-        w, U = np.linalg.eigh(c[:, None, None] * self.P + s[:, None, None] * self.R)
-        V = U[:, :, -1]                     # row k: top eigenvector at theta[k]
-        return list(zip(theta.tolist(), w[:, -1].tolist(), V, self._slopes(c, s, V)))
+    def batch(self, theta: np.ndarray):
+        """``(t, *self(t))`` for t in theta, from one request."""
+        f, V, df = yield from self.rows(np.cos(theta), np.sin(theta), False)
+        return list(zip(theta.tolist(), f, V, df))
 
-    def seeds(self) -> list[tuple[float, float, np.ndarray, float]]:
+    def seeds(self):
         """``(theta, f, v, f')`` at the ``SEED_ANGLES`` angles 2 pi k / n,
         k = 0..n-1, read from solves at k < n/2, or k <= n/4 when M is real."""
-        n = SEED_ANGLES
-        theta = np.arange(n) * (_TWO_PI / n)
         # M = P + iR is real exactly when P is real and R imaginary
         real = not (self.P.imag.any() or self.R.real.any())
-        k = np.arange(n // 4 + 1 if real else n // 2)
-        c, s = np.cos(theta[k]), np.sin(theta[k])
-        if self.r <= DENSE_SWEEP_MAX:
-            w, U = np.linalg.eigh(c[:, None, None] * self.P + s[:, None, None] * self.R)
-        else:
-            w, U = map(np.array, zip(*(self._lanczos(a, b, [0, -1]) for a, b in zip(c, s))))
-        # the bottom eigenpair at theta is the top one at theta + pi
-        f, V = np.hstack((w[:, -1], -w[:, 0])), np.vstack((U[:, :, -1], U[:, :, 0]))
-        k, c, s = np.hstack((k, k + n // 2)), np.hstack((c, -c)), np.hstack((s, -s))
-        recs = dict(zip(k.tolist(), zip(f.tolist(), V, self._slopes(c, s, V))))
+        theta, k, c, s = _seed_angles(SEED_ANGLES, real)
+        f, V, df = yield from self.rows(c, s, True)
+        recs = dict(zip(k, zip(f, V, df)))
         if real:
             for j, (f, v, df) in list(recs.items()):
-                recs.setdefault(-j % n, (f, v.conj(), -df))
-        return [(t, *recs[j]) for j, t in enumerate(theta.tolist())]
+                recs.setdefault(-j % len(theta), (f, v.conj(), -df))
+        return [(t, *recs[j]) for j, t in enumerate(theta)]
 
-    def __call__(self, theta: float) -> tuple[float, np.ndarray, float]:
+    def __call__(self, theta: float):
         c, s = math.cos(theta), math.sin(theta)
-        if self.r <= DENSE_SWEEP_MAX:
-            w, U = np.linalg.eigh(c * self.P + s * self.R)
-        else:
-            w, U = self._lanczos(c, s, [-1])
-        lam, v = float(w[-1]), U[:, -1]
+        lam, v, Rv, Pv = yield _angles, self.r, (self, c, s)
         # f = c v*Pv + s v*Rv gives one form from the other, so the slope
         # c v*Rv - s v*Pv needs only the form whose weight is larger
         if abs(c) >= abs(s):
-            return lam, v, (float(np.vdot(v, self.R @ v).real) - s * lam) / c
-        return lam, v, (c * lam - float(np.vdot(v, self.P @ v).real)) / s
+            return lam, v, (float(np.vdot(v, Rv).real) - s * lam) / c
+        return lam, v, (c * lam - float(np.vdot(v, Pv).real)) / s
 
     def _lanczos(self, c: float, s: float,
                  ends: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -238,18 +247,18 @@ class _RotatedTop:
             q = w / beta
 
 
-def _illinois(g, a: float, ga: float, b: float, gb: float) -> None:
-    """Narrow the sign change of ``g`` on [a, b], ``g(a) > 0 > g(b)``, by
-    Illinois regula falsi: a kink is bracketed like a smooth root.  It
+def _illinois(g, a: float, ga: float, b: float, gb: float):
+    """Step: narrow the sign change of ``g`` on [a, b], ``g(a) > 0 > g(b)``,
+    by Illinois regula falsi: a kink is bracketed like a smooth root.  It
     stops at width ``REFINE_WIDTH`` or once the secant point rounds onto
-    an end, where no later step can move the value.  The caller's ``g``
-    records the points it evaluates; nothing is returned."""
+    an end, where no later step can move the value.  The caller's step
+    ``g`` records the points it evaluates; nothing is returned."""
     kept = 0                    # +1: b was kept by the last step, -1: a
     for _ in range(REFINE_STEPS):
         t = (a * gb - b * ga) / (gb - ga)
         if b - a <= REFINE_WIDTH or not a < t < b:
             return
-        gt = g(t)
+        gt = yield from g(t)
         if gt == 0.0:
             return
         if gt > 0:
@@ -296,38 +305,150 @@ def _inner_gap(za: complex, zb: complex) -> tuple[float, float, float]:
     """Distance from 0 to the chord za zb of the inner polygon, the
     direction from its nearest point towards 0 (any, if 0 is on the
     chord), and the angle the chord turns about 0."""
-    e = zb - za
+    # scaled by the least power of 2 above max(|za|, |zb|): exact, and the
+    # squares below cannot overflow
+    k = math.frexp(max(abs(za), abs(zb)))[1]
+    a, b = (complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k)) for z in (za, zb))
+    e = b - a
     ee = e.real * e.real + e.imag * e.imag
-    t = min(1.0, max(0.0, -(e.conjugate() * za).real / ee)) if ee > 0 else 0.0
-    q = za + t * e
+    t = min(1.0, max(0.0, -(e.conjugate() * a).real / ee)) if ee > 0 else 0.0
+    q = a + t * e
     # within the rounding of q, 0 is on the chord
-    if abs(q) <= 4 * sys.float_info.epsilon * (abs(za) + abs(zb)):
+    if abs(q) <= 4 * sys.float_info.epsilon * (abs(a) + abs(b)):
         return 0.0, 0.0, 0.0
-    return abs(q), cmath.phase(-q), cmath.phase(zb / za)
+    return math.ldexp(abs(q), k), cmath.phase(-q), cmath.phase(zb / za)
 
 
-def _crossings(M: np.ndarray, t: float) -> np.ndarray | None:
-    """Angles psi, ascending in [0, 2 pi), at which t is an eigenvalue of
-    Re(e^{-i psi} M); None when the pencil cannot be solved in w."""
-    r, b = M.shape[0], LEVEL_BETA
-    bc, Ms, eye = b.conjugate(), M.conj().T, np.eye(r)
-    # (1 + bc w)^2 (z^2 M* - 2 t z I + M) = A2 w^2 + A1 w + A0
-    A2 = Ms - 2 * t * bc * eye + bc * bc * M
-    A0_A1 = np.hstack((b * b * Ms - 2 * t * b * eye + M,
-                       2 * b * Ms - 2 * t * (1 + b * bc) * eye + 2 * bc * M))
-    C = np.eye(2 * r, k=r, dtype=complex)      # the companion matrix
-    try:
-        C[r:] = -np.linalg.solve(A2, A0_A1)
-        w = np.linalg.eigvals(C)
-    except np.linalg.LinAlgError:
+def _crossings(M: np.ndarray, t: float):
+    """Step: angles psi, ascending in [0, 2 pi), at which t is an eigenvalue
+    of Re(e^{-i psi} M); None when the pencil cannot be solved in w."""
+    w = yield _pencils, M.shape[0], (M, t)
+    if w is None:
         return None
-    w = w[np.abs(np.abs(w) - 1) <= LEVEL_TAU]
-    return np.sort(np.angle((w + b) / (1 + bc * w)) % _TWO_PI)
+    w, b = w[np.abs(np.abs(w) - 1) <= LEVEL_TAU], LEVEL_BETA
+    return np.sort(np.angle((w + b) / (1 + b.conjugate() * w)) % _TWO_PI) if w.size else w
 
 
-def _extremum(top: _RotatedTop,
-              maximize: bool) -> tuple[float, float, np.ndarray, float]:
-    """Extremum of f over the circle as ``(psi, f, top eigenvector, hi)``.
+# ---------------------------------------------------------------------------
+# the driver: kernel steps in lockstep
+# ---------------------------------------------------------------------------
+# An answer must not depend on the requests served with it, and must be
+# the one a single solve gets: products by a complex (not real) factor
+# keep a single solve's operand order, since numpy rounds z * M and M * z
+# differently, and each requester forms the cos and sin of its angles.
+
+def _stack(arrays: list) -> np.ndarray:
+    # a lone array is not copied: it may be as large as Lanczos takes
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _stacks(tops) -> tuple[np.ndarray, np.ndarray]:
+    return _stack([t.P for t in tops]), _stack([t.R for t in tops])
+
+
+def _rows(requests: list) -> list:
+    """Answers to ``_RotatedTop.rows``: one stacked eigh (or Lanczos at
+    each angle), and the slopes of the requests with as many rows from one
+    stacked product."""
+    tops, c, s, both = zip(*requests)
+    n = [len(x) for x in c]
+    if tops[0].r > DENSE_SWEEP_MAX:
+        eig = [tuple(map(np.array, zip(*(top._lanczos(x, y, [0, -1] if two else [-1])
+                                         for x, y in zip(cx, sx)))))
+               for top, cx, sx, two in requests]
+    else:
+        P, R = _stacks(tops)
+        if len(tops) > 1:
+            P, R = np.repeat(P, n, 0), np.repeat(R, n, 0)
+        cx, sx = np.concatenate(c)[:, None, None], np.concatenate(s)[:, None, None]
+        w, U = np.linalg.eigh(cx * P + sx * R)
+        ends = np.cumsum(n).tolist()
+        eig = [(w[e - k:e], U[e - k:e]) for k, e in zip(n, ends)]
+    out = [None] * len(requests)
+    groups: dict[tuple, list] = {}
+    for i, key in enumerate(zip(n, both)):
+        groups.setdefault(key, []).append(i)
+    for (_, two), idx in groups.items():
+        w, U, cx, sx = (_stack([x[i] for i in idx]) for x in (*zip(*eig), c, s))
+        f, V = w[..., -1], U[..., -1]
+        if two:     # the bottom eigenpair at theta is the top one at theta + pi
+            f, V = np.concatenate((f, -w[..., 0]), 1), np.concatenate((V, U[..., 0]), 1)
+            cx, sx = np.concatenate((cx, -cx), 1), np.concatenate((sx, -sx), 1)
+        P, R = _stacks([tops[i] for i in idx])
+        df = np.einsum("gki,gki->gk", V.conj(), cx[..., None] * (V @ R.transpose(0, 2, 1))
+                       - sx[..., None] * (V @ P.transpose(0, 2, 1))).real
+        for i, *answer in zip(idx, f.tolist(), V, df.tolist()):
+            out[i] = answer
+    return out
+
+
+def _angles(requests: list) -> list:
+    """Answers to ``_RotatedTop.__call__``: ``(f, v, R v, P v)`` at each
+    ``(top, c, s)``, from one stacked eigh (or Lanczos at each angle)."""
+    tops, c, s = zip(*requests)
+    if tops[0].r > DENSE_SWEEP_MAX:
+        eig = [top._lanczos(x, y, [-1]) for top, x, y in requests]
+        return [(float(w[-1]), U[:, -1], top.R @ U[:, -1], top.P @ U[:, -1])
+                for top, (w, U) in zip(tops, eig)]
+    P, R = _stacks(tops)
+    w, U = np.linalg.eigh(np.array(c)[:, None, None] * P + np.array(s)[:, None, None] * R)
+    V = U[:, :, -1][..., None]
+    return list(zip(w[:, -1].tolist(), V[..., 0], (R @ V)[..., 0], (P @ V)[..., 0]))
+
+
+def _pencils(pencils: list) -> list:
+    """Answers to ``_crossings``: the eigenvalues w of the pencil
+    A2 w^2 + A1 w + A0 at each ``(M, t)``, from one stacked solve and
+    eigvals; None where A2 is singular, which fails the whole stack, so
+    that it is redone one pencil at a time."""
+    b, bc = LEVEL_BETA, LEVEL_BETA.conjugate()
+    # (1 + bc w)^2 (z^2 M* - 2 t z I + M) = A2 w^2 + A1 w + A0
+    M, Ms, bbMs, bcbcM, bMs2, bcM2 = map(np.stack, zip(*(
+        (M, Ms, b * b * Ms, bc * bc * M, 2 * b * Ms, 2 * bc * M)
+        for M, Ms in ((M, M.conj().T) for M, _ in pencils))))
+    t = np.array([t for _, t in pencils])[:, None, None]
+    n, r = M.shape[:2]
+    eye = np.eye(r)
+    A2 = Ms - 2 * t * bc * eye + bcbcM
+    A0_A1 = np.concatenate((bbMs - 2 * t * b * eye + M,
+                            bMs2 - 2 * t * (1 + b * bc) * eye + bcM2), 2)
+    C = np.zeros((n, 2 * r, 2 * r), complex)      # the companion matrices
+    C[:, :r, r:] = eye
+    try:
+        C[:, r:] = -np.linalg.solve(A2, A0_A1)
+        return list(np.linalg.eigvals(C))
+    except np.linalg.LinAlgError:
+        return [None] if n == 1 else [_pencils([p])[0] for p in pencils]
+
+
+def _drive(steps: list) -> list:
+    """Run kernel steps in lockstep; returns their results in order.
+
+    A step is a generator that yields requests ``(serve, size, payload)``
+    and is sent the answer to its payload: ``serve`` answers all pending
+    payloads of its size at once.  Pencils wait while an eigensolve is
+    pending, which makes their stacks, the costliest, as tall as can be."""
+    out, pending, ready = [None] * len(steps), {}, dict.fromkeys(range(len(steps)))
+    while ready or pending:
+        for i, answer in ready.items():
+            try:
+                pending[i] = steps[i].send(answer)
+            except StopIteration as stop:
+                out[i] = stop.value
+        served = [i for i in pending if pending[i][0] is not _pencils] or list(pending)
+        groups: dict[tuple, list] = {}
+        for i in served:
+            serve, size, payload = pending.pop(i)
+            groups.setdefault((serve, size), []).append((i, payload))
+        ready = {}
+        for (serve, _), group in groups.items():
+            idx, payloads = zip(*group)
+            ready.update(zip(idx, serve(list(payloads))))
+    return out
+
+
+def _extremum(top: _RotatedTop, maximize: bool):
+    """Step: extremum of f over the circle as ``(psi, f, top eigenvector, hi)``.
 
     With f the support function h of W(M), maximizing gives the numerical
     radius and minimizing gives -(the Crawford number) when that is
@@ -354,7 +475,7 @@ def _extremum(top: _RotatedTop,
     def record(t: float, f: float, v: np.ndarray, df: float) -> float:
         nonlocal best
         t %= _TWO_PI
-        j = bisect.bisect_left(recs, t, key=lambda rec: rec[0])
+        j = bisect.bisect_left(recs, (t,))
         if j == len(recs) or recs[j][0] != t:
             recs.insert(j, (t, f, df, cmath.rect(1.0, t) * complex(f, df)))
             if gaps:
@@ -364,39 +485,42 @@ def _extremum(top: _RotatedTop,
             best = (t, sign * f, v, sign * df)
         return sign * df
 
-    def slope(t: float) -> float:
-        return record(t, *top(t))
+    def slope(t: float):
+        return record(t, *(yield from top(t)))
 
-    def narrow(k: int) -> None:
+    def narrow(k: int):
         # narrow a sign change of the slope across gap k
         a, _, ga, _ = recs[k]
         b, _, gb, _ = recs[(k + 1) % len(recs)]
         if sign * ga > 0 > sign * gb:
-            _illinois(slope, a, sign * ga, a + (b - a) % _TWO_PI, sign * gb)
+            yield from _illinois(slope, a, sign * ga, a + (b - a) % _TWO_PI, sign * gb)
 
     def toward_best() -> int:
         # the gap that the best angle's slope points into
-        k = bisect.bisect_left(recs, best[0], key=lambda rec: rec[0])
+        k = bisect.bisect_left(recs, (best[0],))
         return k if best[3] > 0 else k - 1
 
-    for rec in top.seeds():
-        record(*rec)
+    seeds = yield from top.seeds()          # ascending in [0, 2 pi)
+    recs[:] = [(t, f, df, cmath.rect(1.0, t) * complex(f, df)) for t, f, _, df in seeds]
+    best = max([best, *((t, sign * f, v, sign * df) for t, f, v, df in seeds)],
+               key=lambda rec: rec[1])
 
     if maximize and top.r <= DENSE_SWEEP_MAX:
         M = top.P + 1j * top.R
         for _ in range(LEVEL_ROUNDS):
-            narrow(toward_best())
+            yield from narrow(toward_best())
             lo = best[1]
             # the cut loop's stopping rule, solved for hi (and rounded)
             hi = (lo + 4 * err) / (1 - CUT_RTOL)
             while hi - lo > CUT_RTOL * hi + 4 * err:
                 hi = math.nextafter(hi, lo)
-            cross = _crossings(M, hi)
+            cross = yield from _crossings(M, hi)
             if cross is None:
                 break
             if not cross.size:
                 return (*best[:3], hi)
-            for rec in top.batch(cross + np.diff(cross, append=cross[0] + _TWO_PI) / 2):
+            mid = cross + np.diff(cross, append=cross[0] + _TWO_PI) / 2
+            for rec in (yield from top.batch(mid)):
                 record(*rec)
             if best[1] <= lo:           # the crossings raised nothing
                 break
@@ -417,14 +541,14 @@ def _extremum(top: _RotatedTop,
         # cut the gap that attains the bound: narrow a local extremum
         # inside it, else evaluate towards its aim
         n = len(recs)
-        narrow(k)
+        yield from narrow(k)
         if len(recs) == n:
-            slope(aim[k])
+            yield from slope(aim[k])
         if len(recs) == n:      # every angle tried was evaluated before
             break
 
     if maximize or best[1] > 0:
-        narrow(toward_best())
+        yield from narrow(toward_best())
     t, f, v, _ = best
     return t, sign * f, v, hi
 
@@ -440,10 +564,10 @@ def spectral_norm(M: np.ndarray) -> float:
     return _finite(float(np.linalg.svd(M, compute_uv=False)[0]))
 
 
-def _radius(M: np.ndarray) -> tuple[float, float, np.ndarray, float]:
-    """Numerical radius as ``(value, theta, eigvec, hi)``: the supremum is
-    attained by the top eigenvector of Re(e^{i theta} M), and ``hi``
-    bounds it from above."""
+def _radius_step(M: np.ndarray):
+    """Step: the numerical radius as ``(value, theta, eigvec, hi)``: the
+    supremum is attained by the top eigenvector of Re(e^{i theta} M), and
+    ``hi`` bounds it from above."""
     M = as_matrix(M)
     r = M.shape[0]
     if r == 0:
@@ -465,8 +589,19 @@ def _radius(M: np.ndarray) -> tuple[float, float, np.ndarray, float]:
             val, theta, vec = float(abs(w[0])), float(np.pi), V[:, 0]
         return _finite(val), theta, vec, val
     # Re(e^{i theta} M) is the support function's matrix at psi = -theta
-    psi, val, vec, hi = _extremum(_RotatedTop(H, K), maximize=True)
+    psi, val, vec, hi = yield from _extremum(_RotatedTop(H, K), maximize=True)
     return val, -psi % (2 * np.pi), vec, _finite(hi)
+
+
+def _radii(mats: list) -> list[tuple[float, float, np.ndarray, float]]:
+    """``_radius`` of each matrix, all solved together: each result is
+    bit-identical to that of a solve alone."""
+    return _drive([_radius_step(M) for M in mats])
+
+
+def _radius(M: np.ndarray) -> tuple[float, float, np.ndarray, float]:
+    """Numerical radius as ``(value, theta, eigvec, hi)``; see ``_radius_step``."""
+    return _radii([M])[0]
 
 
 def numerical_radius(M: np.ndarray) -> float:
@@ -484,7 +619,7 @@ def _crawford(M: np.ndarray) -> tuple[float, float]:
     if r == 1:
         val = abs(complex(M[0, 0]))
         return val, val
-    _, h_min, _, hi = _extremum(_RotatedTop(*_split(M)), maximize=False)
+    [(_, h_min, _, hi)] = _drive([_extremum(_RotatedTop(*_split(M)), maximize=False)])
     return max(0.0, -h_min), hi
 
 

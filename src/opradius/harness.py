@@ -164,11 +164,23 @@ def run_fuzz(config: ensembles.EnsembleConfig, entry_filter=None,
     for trial in range(config.trials):
         kit = build_kit(config, trial)
         ctx = EvalContext(kit.space)
-        for entry in catalog:
-            report = evaluate(entry.id, kit.space,
-                              kit.operands[entry.operand_kind],
-                              {k: kit.params[k] for k in entry.params},
-                              ctx=ctx)
+        calls = [(entry, (entry.id, kit.space, kit.operands[entry.operand_kind],
+                          {k: kit.params[k] for k in entry.params}))
+                 for entry in catalog]
+        # a recording pass learns the trial's radii, to solve them together;
+        # a report that asked for none is final already
+        ctx.recorded, final = [], {}
+        for entry, args in calls:
+            asked = len(ctx.recorded)
+            try:
+                report = evaluate(*args, ctx=ctx)
+            except Exception:       # raised again below
+                continue
+            if len(ctx.recorded) == asked:
+                final[entry.id] = report
+        ctx.solve_recorded()
+        for entry, args in calls:
+            report = final.get(entry.id) or evaluate(*args, ctx=ctx)
             aggregates[entry.id].update(report)
             if report.status == "Violated":
                 record = _violation_record(config, trial, kit, report)

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, Inapplicable
-from .functionals import numerical_radius, spectral_norm
+from .functionals import _radii, numerical_radius, spectral_norm
 from .numkernel import matrix_to_json
 from .space import SemiHilbertSpace
 
@@ -72,7 +72,13 @@ OPERAND_KINDS = {
 
 
 class EvalContext:
-    """Per-operand-set cache of compressions, norms and radii."""
+    """Per-operand-set cache of compressions, norms, radii and other
+    results of the evaluators.
+
+    While ``recorded`` is a list, ``rad`` appends to it each matrix whose
+    radius is not cached, with its key, and answers 1.0 in its place (no
+    evaluator asks for a radius after branching on one); ``solve_recorded``
+    then solves them all together and stops the recording."""
 
     def __init__(self, space: SemiHilbertSpace):
         self.space = space
@@ -80,6 +86,8 @@ class EvalContext:
         self._comp: dict[int, tuple] = {}
         self._rad: dict[bytes, float] = {}
         self._nrm: dict[bytes, float] = {}
+        self._memo: dict = {}
+        self.recorded: list | None = None
 
     def comp(self, T) -> np.ndarray:
         hit = self._comp.get(id(T))
@@ -90,8 +98,19 @@ class EvalContext:
     def rad(self, M: np.ndarray) -> float:
         key = M.tobytes()
         if key not in self._rad:
+            if self.recorded is not None:
+                self.recorded.append((key, M))
+                return 1.0
             self._rad[key] = numerical_radius(M)
         return self._rad[key]
+
+    def solve_recorded(self) -> None:
+        todo, self.recorded = dict(self.recorded), None
+        try:
+            radii = _radii(list(todo.values()))
+        except ValueError:      # left for rad to raise, one matrix at a time
+            return
+        self._rad.update(zip(todo, (rad[0] for rad in radii)))
 
     def nrm(self, M: np.ndarray) -> float:
         key = M.tobytes()
@@ -99,16 +118,32 @@ class EvalContext:
             self._nrm[key] = spectral_norm(M)
         return self._nrm[key]
 
+    def memo(self, key, make: Callable):
+        """``make()``, computed at the first call with ``key`` that returns."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
-def _hpow(H: np.ndarray, p: float) -> np.ndarray:
-    """Power of a Hermitian PSD matrix, eigenvalues clamped at zero."""
-    w, V = np.linalg.eigh((H + H.conj().T) / 2)
-    w = np.maximum(w, 0.0)
-    return (V * w**p) @ V.conj().T
+
+def _hpow(ctx: EvalContext, H: np.ndarray, p: float) -> np.ndarray:
+    """Power of a Hermitian PSD matrix, eigenvalues clamped at zero; the
+    result is shared, read-only."""
+    def power():
+        w, V = ctx.memo(("eigh", key), lambda: np.linalg.eigh((H + H.conj().T) / 2))
+        w = np.maximum(w, 0.0)
+        out = (V * w**p) @ V.conj().T
+        out.flags.writeable = False
+        return out
+    key = H.tobytes()
+    return ctx.memo(("hpow", key, p), power)
 
 
 def _require_positive_compression(ctx: EvalContext, T, label: str) -> np.ndarray:
     M = ctx.comp(T)
+    return ctx.memo(("positive", M.tobytes()), lambda: _positive_part(M, label))
+
+
+def _positive_part(M: np.ndarray, label: str) -> np.ndarray:
     scale = max(1.0, float(np.linalg.norm(M)))
     if np.linalg.norm(M - M.conj().T) > 1e-8 * scale:
         raise Inapplicable(f"{label} is not metric-positive (compression not Hermitian)")
@@ -417,7 +452,7 @@ def _ev_md3(ctx, ops, params):
         raise Inapplicable("exponent r must be >= 1")
     lhs = ctx.rad(B) ** (2 * r)
     rhs = ((1 + alpha) / 4
-           * ctx.nrm(_hpow(B.conj().T @ B, r) + _hpow(B @ B.conj().T, r))
+           * ctx.nrm(_hpow(ctx, B.conj().T @ B, r) + _hpow(ctx, B @ B.conj().T, r))
            + (1 - alpha) / 2 * ctx.rad(B @ B) ** r)
     return lhs, rhs, {}
 
@@ -462,12 +497,12 @@ def _mrq1(ctx, ops, params, stated: bool):
     q = p / (p - 1)
     if p * r < 2 or q * r < 2:
         raise Inapplicable("requires p*r >= 2 and q*r >= 2")
-    comb = sum(_hpow(Ts[j], alpha) @ Xs[j] @ _hpow(Ss[j], alpha) for j in range(n))
+    comb = sum(_hpow(ctx, Ts[j], alpha) @ Xs[j] @ _hpow(ctx, Ss[j], alpha) for j in range(n))
     lhs = ctx.rad(comb) ** r
     nX = max(ctx.nrm(X) for X in Xs)
     mul = 2.0 if stated else 1.0
     rhs = n ** (r - 1) * nX**r * sum(
-        ctx.nrm(_hpow(Ts[j], mul * p * r) / p + _hpow(Ss[j], mul * q * r) / q) ** alpha
+        ctx.nrm(_hpow(ctx, Ts[j], mul * p * r) / p + _hpow(ctx, Ss[j], mul * q * r) / q) ** alpha
         for j in range(n)
     )
     return lhs, rhs, {}
@@ -480,12 +515,12 @@ def _ev_final1(ctx, ops, params):
     if r < 2:
         raise Inapplicable("requires r >= 2")
     comb = sum(
-        _hpow(Ts[j], alpha) @ Xs[j] @ _hpow(Ss[j], 1 - alpha) for j in range(n)
+        _hpow(ctx, Ts[j], alpha) @ Xs[j] @ _hpow(ctx, Ss[j], 1 - alpha) for j in range(n)
     )
     lhs = ctx.rad(comb) ** r
     nX = max(ctx.nrm(X) for X in Xs)
     rhs = n ** (r - 1) * nX**r * sum(
-        ctx.nrm(alpha * _hpow(Ts[j], r) + (1 - alpha) * _hpow(Ss[j], r))
+        ctx.nrm(alpha * _hpow(ctx, Ts[j], r) + (1 - alpha) * _hpow(ctx, Ss[j], r))
         for j in range(n)
     )
     return lhs, rhs, {}

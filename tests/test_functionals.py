@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opradius import (
+    EnsembleConfig,
     a_crawford,
     a_numerical_radius,
     build_space,
     crawford_number,
     errors,
     functionals,
+    inequalities,
     numerical_radius,
     operator_a_norm,
     random_a_unitary,
@@ -248,6 +250,11 @@ def test_lanczos_matches_dense_path(make, monkeypatch):
     assert craw <= craw_hi
 
 
+def _run(step):
+    # a kernel step (a generator of solve requests) run to its result
+    return functionals._drive([step])[0]
+
+
 @pytest.fixture
 def eigh_sizes(monkeypatch):
     # orders of the matrices passed to numpy.linalg.eigh; in Lanczos the
@@ -268,7 +275,7 @@ def test_lanczos_stops_before_spanning_the_space(eigh_sizes):
     # cannot pass there, the bound err (relative to the norm) can
     r = 160
     top = functionals._RotatedTop(*functionals._split(_large_negative_top(r)))
-    f, v, _ = top(0.0)
+    f, v, _ = _run(top(0.0))
     assert max(eigh_sizes) < r
     assert np.linalg.norm(top.P @ v - f * v) <= top.err
     assert abs(f - np.linalg.eigvalsh(top.P)[-1]) <= top.err
@@ -279,7 +286,7 @@ def test_lanczos_stops_when_the_krylov_space_closes(eigh_sizes):
     # solves, the Krylov space is invariant up to rounding
     lam = np.arange(1, 7) * np.exp(1j * np.pi / 3 * np.arange(6))
     M = np.diag(np.tile(lam, 22))
-    f, _, _ = functionals._RotatedTop(*functionals._split(M))(0.3)
+    f, _, _ = _run(functionals._RotatedTop(*functionals._split(M))(0.3))
     assert max(eigh_sizes) == 6
     assert f == pytest.approx((np.exp(-0.3j) * lam).real.max(), rel=1e-12)
     assert numerical_radius(M) == pytest.approx(6.0, rel=1e-12)
@@ -293,8 +300,8 @@ def test_lanczos_value_depends_on_angle_alone():
     M = space.compression(random_in_BA(space, rng))
     first, second = (functionals._RotatedTop(*functionals._split(M))
                      for _ in range(2))
-    first(0.3), first(2.0), second(4.0)
-    (f1, _, df1), (f2, _, df2) = first(1.0), second(1.0)
+    _run(first(0.3)), _run(first(2.0)), _run(second(4.0))
+    (f1, _, df1), (f2, _, df2) = _run(first(1.0)), _run(second(1.0))
     assert f1 == f2 and df1 == df2
 
 
@@ -612,7 +619,7 @@ def evaluations(monkeypatch):
         return batch(self, theta)
 
     def counted_seeds(self):
-        out = seeds(self)
+        out = yield from seeds(self)
         counts[-1] += len(out)
         return out
 
@@ -772,12 +779,12 @@ def test_every_solved_record_matches_a_single_solve(make, monkeypatch):
     seeds, batch = top.seeds, top.batch
 
     def recorded_seeds(self):
-        out = seeds(self)
+        out = yield from seeds(self)
         solved.extend((self, *rec) for rec in out)
         return out
 
     def recorded_batch(self, theta):
-        out = batch(self, theta)
+        out = yield from batch(self, theta)
         solved.extend((self, *rec) for rec in out)
         return out
 
@@ -787,7 +794,7 @@ def test_every_solved_record_matches_a_single_solve(make, monkeypatch):
     functionals._radius(M)
     assert len(solved) >= functionals.SEED_ANGLES
     for rot, t, f, v, df in solved:
-        f1, _, df1 = rot(t)
+        f1, _, df1 = _run(rot(t))
         H = np.cos(t) * rot.P + np.sin(t) * rot.R
         assert abs(f - f1) <= rot.err and abs(df - df1) <= rot.err, t
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -807,7 +814,112 @@ def test_seed_step_solves_half_the_seeds_or_fewer(real, solves, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     rot = functionals._RotatedTop(*functionals._split(_gaussian(5, real)))
-    seeds = rot.seeds()
+    seeds = _run(rot.seeds())
     assert shapes == [(solves, 5, 5)]
     assert [t for t, *_ in seeds] == (np.arange(functionals.SEED_ANGLES) * (
         2 * np.pi / functionals.SEED_ANGLES)).tolist()
+
+
+# -- chords of huge support points ------------------------------------------
+
+@pytest.mark.parametrize("e", [100, 153, 154, 200, 300])
+def test_crawford_enclosure_of_a_huge_matrix(e):
+    # squares of support points above about 1e154 overflowed: the nearest
+    # point of a chord was then taken at its end, and hi/10^e came out
+    # 0.76537 (e = 154, 200) and 0.72298 (e = 300) for a value of 0.70711
+    M = np.array([[1, 1], [1j, 1]]) * 10.0**e
+    with np.errstate(over="ignore"):        # the error scale's first norm
+        value, hi = functionals._crawford(M)
+        err = functionals._RotatedTop(*functionals._split(M)).err
+    assert value <= hi
+    assert hi - value <= functionals.CUT_RTOL * hi + 4 * err
+
+
+# -- radii solved together --------------------------------------------------
+
+def _bits(result):
+    value, angle, witness, hi = result
+    return value, angle, witness.tobytes(), hi
+
+
+def _assert_stacked_equals_alone(mats):
+    # (value, angle, witness, hi) of each matrix of a stack, bit for bit as
+    # its solve alone; the stack is also solved in reverse order
+    alone = [_bits(functionals._radius(M)) for M in mats]
+    assert [_bits(res) for res in functionals._radii(mats)] == alone
+    assert [_bits(res) for res in functionals._radii(mats[::-1])] == alone[::-1]
+
+
+@pytest.fixture(scope="module")
+def lattice_stacks():
+    # the compressions and products whose radii each trial of one sweep of
+    # the (dim, rank) lattice asks for, as its recording pass collects them
+    from opradius.harness import run_fuzz
+    stacks = []
+    solve = inequalities.EvalContext.solve_recorded
+
+    def collect(ctx):
+        stacks.append(list(dict(ctx.recorded).values()))
+        solve(ctx)
+
+    inequalities.EvalContext.solve_recorded = collect
+    try:
+        run_fuzz(EnsembleConfig(dims=[2, 3, 4, 5, 6], rank_policy="each",
+                                trials=20, master_seed=42))
+    finally:
+        inequalities.EvalContext.solve_recorded = solve
+    return stacks
+
+
+def test_radii_of_each_lattice_kit_do_not_depend_on_the_stack(lattice_stacks):
+    assert len(lattice_stacks) == 20
+    for mats in lattice_stacks:
+        _assert_stacked_equals_alone(mats)
+
+
+def test_radii_of_mixed_sizes_do_not_depend_on_the_stack(lattice_stacks):
+    mats = [M for mats in lattice_stacks for M in mats[::3]]
+    assert len({M.shape[0] for M in mats}) == 6
+    _assert_stacked_equals_alone(mats + [_gaussian(129)])
+
+
+def _barely_skew(r):
+    # ||K|| just above the Hermitian shortcut's 1e-12 ||M||
+    A, B = _gaussian(r), _gaussian(r).T
+    H, K = (A + A.conj().T) / 2, (B + B.conj().T) / 2
+    M = H + 1.5e-12j * np.linalg.norm(H) / np.linalg.norm(K) * K
+    _, K = functionals._split(M)
+    assert 1e-12 < np.linalg.norm(K) / np.linalg.norm(M) < 2e-12
+    return M
+
+
+def test_special_radii_do_not_depend_on_the_stack():
+    # a real M, a nearly Hermitian one and the criss-cross triangle, which
+    # needs a second level-set round, among generic matrices of their size
+    _assert_stacked_equals_alone([_gaussian(5), _gaussian(5, real=True),
+                                  _barely_skew(5), _gaussian(3),
+                                  _criss_cross(), _gaussian(3, real=True)])
+
+
+def test_radii_falling_back_to_the_cuts_do_not_depend_on_the_stack(monkeypatch):
+    # every eigenvalue counted as a crossing: each call ends in the cut loop
+    M = _spurious_crossings(monkeypatch)
+    _assert_stacked_equals_alone([_ginibre(s)[0] for s in range(6)] + [M, M.T])
+
+
+def test_a_singular_pencil_does_not_fail_the_stack(monkeypatch):
+    # with LEVEL_BETA = 0, A2 is M*, singular for the shift: the stacked
+    # solve fails, and the round is redone one pencil at a time
+    monkeypatch.setattr(functionals, "LEVEL_BETA", 0j)
+    answers = []
+    pencils = functionals._pencils
+
+    def recorded(requests):
+        out = pencils(requests)
+        answers.append(sorted(w is None for w in out))
+        return out
+
+    monkeypatch.setattr(functionals, "_pencils", recorded)
+    mats = [_gaussian(2), np.eye(2, k=1, dtype=complex), _gaussian(2, real=True)]
+    _assert_stacked_equals_alone(mats)
+    assert [False, False, True] in answers

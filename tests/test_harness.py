@@ -4,7 +4,8 @@ import json
 import pytest
 
 from opradius import (EnsembleConfig, build_space, errors, evaluate,
-                      inequalities, list_catalog, replay, run_fuzz)
+                      functionals, inequalities, list_catalog, replay,
+                      run_fuzz)
 from opradius.harness import FAMILY_SIZES, _violation_record, build_kit
 from opradius.numkernel import matrix_from_json
 
@@ -207,3 +208,28 @@ def test_observer_sees_every_evaluation():
              observer=lambda trial, rep: seen.append((trial, rep.id)))
     assert len(seen) == 4
     assert {s[1] for s in seen} == {"QA1", "CSTAR"}
+
+
+def test_each_trial_solves_its_radii_in_one_kernel_call(monkeypatch):
+    # over one sweep of the (dim, rank) lattice, the recording pass finds
+    # every radius a trial asks for, so the real pass solves none alone; the
+    # observer sees each report once, in catalog order, as each entry
+    # evaluated alone gives it
+    calls, seen = [], []
+    drive = functionals._drive
+    monkeypatch.setattr(functionals, "_drive",
+                        lambda steps: calls.append(len(steps)) or drive(steps))
+    cfg = EnsembleConfig(dims=[2, 3, 4, 5, 6], rank_policy="each", trials=20,
+                         master_seed=42)
+    run_fuzz(cfg, observer=lambda trial, report: seen.append((trial, report)))
+    assert len(calls) == cfg.trials and min(calls) > 1
+    monkeypatch.setattr(functionals, "_drive", drive)
+    catalog = list_catalog()
+    assert [(trial, rep.id) for trial, rep in seen] == [
+        (trial, entry.id) for trial in range(cfg.trials) for entry in catalog]
+    kits = [build_kit(cfg, trial) for trial in range(cfg.trials)]
+    for k, (trial, got) in enumerate(seen):
+        kit, entry = kits[trial], catalog[k % len(catalog)]
+        alone = evaluate(entry.id, kit.space, kit.operands[entry.operand_kind],
+                         {name: kit.params[name] for name in entry.params})
+        assert got.to_json() == alone.to_json(), entry.id

@@ -218,6 +218,20 @@ def test_shared_context_does_not_reuse_a_freed_operands_compression():
         assert (shared.lhs, shared.rhs) == (fresh.lhs, fresh.rhs)
 
 
+def test_recorded_radii_fall_back_to_single_solves_when_one_fails():
+    # a recorded matrix whose radius raises leaves every recorded radius to
+    # rad: each is then solved alone, and the failing one raises there
+    from opradius import numerical_radius
+    ctx = EvalContext(build_space(np.eye(2)))
+    good, bad = np.array([[1.0, 2.0], [0.0, 1j]]), np.array([[np.inf, 0.0], [0.0, 1.0]])
+    ctx.recorded = []
+    assert ctx.rad(good) == ctx.rad(bad) == 1.0
+    ctx.solve_recorded()
+    assert ctx.recorded is None and ctx.rad(good) == numerical_radius(good)
+    with pytest.raises(ValueError):
+        ctx.rad(bad)
+
+
 def test_every_entry_statement_and_kind():
     from opradius.inequalities import OPERAND_KINDS
 
