@@ -30,22 +30,24 @@ The steps stop once the enclosure ``[lo, hi]`` is narrower than
 bounds the error of one computed h), and the best angle evaluated is
 narrowed once more.
 
-The dense radius (r <= ``DENSE_SWEEP_MAX``) instead narrows the best seed
-and runs a level-set test (Mengi and Overton 2005; see ``LEVEL_TAU``) at
-the ``hi`` where the cuts would stop: with no crossing, h < hi at every
-angle.  Crossings get h evaluated midway between them (criss-cross) and a
-new test; crossings that raise nothing fall back to the cuts.
+The dense radius (2 <= r <= ``DENSE_SWEEP_MAX``, M not Hermitian) instead
+narrows the best seed and runs a level-set test (Mengi and Overton 2005;
+see ``LEVEL_TAU``) at the ``hi`` where the cuts would stop: with no
+crossing, h < hi at every angle.  Crossings get h evaluated midway
+between them (criss-cross) and a new test; crossings that raise nothing
+fall back to the cuts.
 
-The kernel runs as steps: generators that yield their eigensolves and
-level-set tests as requests and are sent the answers.  ``_drive`` runs
-the steps of many matrices in lockstep and answers the requests of each
-kind and size together: one stacked ``eigh`` per kind of eigensolve and
-round, one stacked ``solve`` and ``eigvals`` per round of level-set
-tests.  Each answer
-depends on its own request alone, so a radius solved among others
-(``_radii``) is bit-identical to one solved alone.  A fuzz trial learns
-the radii its catalog entries ask for in a recording pass and solves them
-in one such call (``inequalities.EvalContext``).
+``_radii`` solves the dense radii of one size as one stack in array
+state (``_dense``): the seeds, the Illinois narrowing of every best
+seed's bracket (one stacked ``eigh`` per step over the brackets still
+open) and the first level-set test (one stacked ``solve`` and
+``eigvals``).  A radius whose test finds crossings goes on alone in
+``_extremum`` from the records already evaluated, as do the Crawford
+number and the radius above ``DENSE_SWEEP_MAX``.  Each operation gives
+a matrix of a stack the bits it gives it alone, so a radius solved in a
+stack is bit-identical to one solved alone.  A fuzz trial learns the
+radii its catalog entries ask for in a recording pass and solves them in
+one ``_radii`` call (``inequalities.EvalContext``).
 
 ``lo`` is the value itself: the best support line evaluated, attained
 by its eigenvector.  ``hi`` is the bound of the worst gap (radius), or
@@ -81,8 +83,10 @@ CUT_STEPS = 64
 # in at most REFINE_STEPS evaluations.
 REFINE_WIDTH = 1e-12
 REFINE_STEPS = 64
-# Above this size: Lanczos for the top eigenpair, cuts for the radius.
+# Above this size: Lanczos for the top eigenpair, cuts for the radius;
+# Lanczos stops at residuals within _LANCZOS_TOL (||P||_F + ||R||_F).
 DENSE_SWEEP_MAX = 128
+_LANCZOS_TOL = 1e-10
 # Level-set test, at most LEVEL_ROUNDS criss-cross rounds: t is an
 # eigenvalue of Re(e^{-i psi} M) exactly when z = e^{i psi} solves
 # z^2 M* - 2 t z I + M = 0, here solved in w, z = (w + b) / (1 + conj(b) w),
@@ -120,157 +124,237 @@ class RadiusResult:
 
 
 # ---------------------------------------------------------------------------
-# the cutting-plane kernel on a compressed matrix
+# the kernel on stacks of compressed matrices
 # ---------------------------------------------------------------------------
+# Each operation on a stack gives every matrix the bits that a stack of
+# one gives it: products by a complex (not real) factor keep one operand
+# order, since numpy rounds z * M and M * z differently, and the error
+# scales, sums, products and solves are formed per matrix.
 
-def _finite(x: float) -> float:
-    if not math.isfinite(x):
+def _finite(x):
+    if not np.isfinite(x).all():
         raise ValueError(f"{x} is not finite: the matrix overflows")
     return x
 
 
 def _split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # halve first: M + M* overflows for entries above half the largest float
-    M2, Ms2 = M / 2, M.conj().T / 2
+    M2, Ms2 = M / 2, M.conj().swapaxes(-1, -2) / 2
     return M2 + Ms2, (M2 - Ms2) / 1j
 
 
+def _stack(arrays: list) -> np.ndarray:
+    # a lone array is not copied: it may be as large as Lanczos takes
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _sub(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    # rows k (ascending) of a stack, which is not copied when k takes all
+    return x if len(k) == len(x) else x[k]
+
+
+def _errs(P: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Bound on the error of a computed f (see ``_rows``), per matrix of the
+    stacks P, R: a dense solve errs by a small multiple of
+    eps * ||cos P + sin R||; Lanczos stops at a residual that bounds its
+    error."""
+    r = P.shape[-1]
+    scale = frobenius(P) + frobenius(R)
+    if r <= DENSE_SWEEP_MAX:
+        return 8 * r * sys.float_info.epsilon * scale
+    return _LANCZOS_TOL * scale
+
+
 @functools.cache
-def _seed_angles(n: int, real: bool) -> tuple[list, list, np.ndarray, np.ndarray]:
-    # the n seed angles, the indices of the solved ones and of their
-    # antipodes, and cos and sin at the solved ones, shared read-only
+def _seed_angles(n: int, real: bool) -> tuple:
+    # the n seed angles, cos and sin at the solved ones, and for each seed
+    # the column of the solves' two-ended rows it is read from and whether
+    # as a mirror image; shared read-only
     theta = np.arange(n) * (_TWO_PI / n)
     k = np.arange(n // 4 + 1 if real else n // 2)
-    c, s = np.cos(theta[k]), np.sin(theta[k])
-    c.flags.writeable = s.flags.writeable = False
-    return theta.tolist(), k.tolist() + (k + n // 2).tolist(), c, s
+    solved = k.tolist() + (k + n // 2).tolist()
+    src = {j: (col, False) for col, j in enumerate(solved)}
+    for j in solved:
+        src.setdefault(-j % n, (src[j][0], True))
+    out = (theta, np.cos(theta[k]), np.sin(theta[k]),
+           *map(np.array, zip(*(src[j] for j in range(n)))))
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
+@functools.cache
+def _lanczos_start(r: int) -> np.ndarray:
+    rng = np.random.default_rng(0x5EED)
+    x = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+    x /= np.linalg.norm(x)
+    x.flags.writeable = False
+    return x
+
+
+def _lanczos(P: np.ndarray, R: np.ndarray, err: float, c: float, s: float,
+             ends: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz values and vectors (columns) of cos P + sin R, as ``eigh``
+    gives them, at the ends (0: bottom, -1: top) of the spectrum.
+
+    Lanczos with full reorthogonalization (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 13) from one seeded start vector, so that the
+    values depend on the angle and the ends alone.  It stops at true Ritz
+    residuals within ``err``, tested once the step count has grown by a
+    quarter (all tests cost about twice the last) or the next Lanczos
+    vector is shorter than ``err``, or after r steps.
+    """
+    # rows of Qc: the conjugated Lanczos basis, so that Qc @ w holds
+    # its inner products with w; rows of W: H applied to the basis; T:
+    # the tridiagonal matrix Q* H Q (its lower half)
+    r = P.shape[0]
+    H = c * P + s * R
+    Qc = np.empty((r, r), complex)
+    W = np.empty((r, r), complex)
+    T = np.zeros((r, r))
+    q = _lanczos_start(r)
+    check = 1
+    for k in range(r):
+        Qc[k] = q.conj()
+        W[k] = w = H @ q
+        T[k, k] = np.vdot(q, w).real
+        for _ in range(2):          # full reorthogonalization, twice
+            w = w - (np.conj(Qc[:k + 1] @ w) @ Qc[:k + 1]).conj()
+        beta = float(np.linalg.norm(w))
+        if k + 1 >= check or beta <= err or k == r - 1:
+            theta, Y = np.linalg.eigh(T[:k + 1, :k + 1])
+            theta, Y = theta[ends], Y[:, ends]
+            X = (Qc[:k + 1].T @ Y).conj()
+            # stop at true residuals within err, or once Q spans the
+            # whole space
+            res = np.linalg.norm(W[:k + 1].T @ Y - X * theta, axis=0)
+            if k == r - 1 or res.max() <= err:
+                return theta, X
+            check = math.ceil(1.25 * (k + 1))
+        T[k + 1, k] = beta
+        q = w / beta
+
+
+def _rows(P: np.ndarray, R: np.ndarray, err: np.ndarray, c: np.ndarray,
+          s: np.ndarray, both: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(f, V, f')`` of f(theta) = lam_max(cos(theta) P + sin(theta) R) for
+    each matrix k of the stacks of Hermitian P, R, at the angles
+    (c[k, j], s[k, j]) (one row of c, s serves every matrix), then, if
+    ``both``, at their antipodes, read from the bottom eigenpairs.
+
+    f and f' have one row per matrix, V the unit top eigenvectors as the
+    rows of one block per matrix.  One stacked eigh, or Lanczos at each
+    angle above ``DENSE_SWEEP_MAX``; then the slopes f' = v*(cos R -
+    sin P) v (Hellmann-Feynman) of all rows from one stacked product.
+    """
+    n, r = P.shape[:2]
+    if r > DENSE_SWEEP_MAX:
+        ends = [0, -1] if both else [-1]
+        cs = (np.broadcast_to(x, (n, np.shape(x)[-1])) for x in (c, s))
+        w, U = map(np.array, zip(*(_lanczos(p, q, e, x, y, ends)
+                                   for p, q, e, cx, sx in zip(P, R, err, *cs)
+                                   for x, y in zip(cx, sx))))
+    else:
+        w, U = np.linalg.eigh((c[..., None, None] * P[:, None]
+                               + s[..., None, None] * R[:, None]).reshape(-1, r, r))
+    w, U = w.reshape(n, np.shape(c)[-1], -1), U.reshape(n, np.shape(c)[-1], r, -1)
+    f, V = w[..., -1], U[..., -1]
+    if both:    # the bottom eigenpair at theta is the top one at theta + pi
+        f, V = np.concatenate((f, -w[..., 0]), 1), np.concatenate((V, U[..., 0]), 1)
+        c, s = np.concatenate((c, -c), -1), np.concatenate((s, -s), -1)
+    df = np.einsum("gki,gki->gk", V.conj(), c[..., None] * (V @ R.swapaxes(1, 2))
+                   - s[..., None] * (V @ P.swapaxes(1, 2))).real
+    return f, V, df
+
+
+def _seeds(P: np.ndarray, R: np.ndarray,
+           err: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(f, V, f')``, as ``_rows`` gives them, at the ``SEED_ANGLES``
+    angles 2 pi j / n, j = 0..n-1, of each matrix of the stacks, read
+    two-ended from solves at j < n/2, or at j <= n/4 where M = P + iR is
+    real: its matrix at -psi is the conjugate of that at psi, so
+    h(-psi) = h(psi), with the conjugate eigenvector and the negated
+    slope."""
+    n, r = P.shape[:2]
+    F, DF = np.empty((n, SEED_ANGLES)), np.empty((n, SEED_ANGLES))
+    V = np.empty((n, SEED_ANGLES, r), complex)
+    # M = P + iR is real exactly when P is real and R imaginary
+    real = ~(P.imag.any((1, 2)) | R.real.any((1, 2)))
+    for flag in (False, True):
+        k = np.flatnonzero(real == flag)
+        if k.size:
+            _, c, s, col, mirror = _seed_angles(SEED_ANGLES, flag)
+            f, v, df = _rows(_sub(P, k), _sub(R, k), err[k], c, s, True)
+            F[k], DF[k] = f[:, col], np.where(mirror, -df[:, col], df[:, col])
+            V[k] = np.where(mirror[:, None], v[:, col].conj(), v[:, col])
+    return F, V, DF
 
 
 class _RotatedTop:
-    """f(theta) = lam_max(cos(theta) P + sin(theta) R) for Hermitian P, R.
+    """f(theta) = lam_max(cos(theta) P + sin(theta) R) for one pair of
+    Hermitian P, R: the matrix that ``_extremum`` works on alone.
 
-    Its methods are kernel steps (see ``_drive``).  A call returns
-    ``(f, v, f')``: the value, its unit top eigenvector and, by
-    Hellmann-Feynman, the slope ``f' = v*(cos(theta) R - sin(theta) P) v``;
-    ``err`` bounds the error of a computed ``f``.  ``seeds`` reads two
-    seeds from each solve, four when M = P + iR is real.  Small matrices
-    use dense solves; large ones Lanczos with full reorthogonalization
-    (Parlett, The Symmetric Eigenvalue Problem, ch. 13) from one seeded
-    start vector, so a call's f depends on theta alone, a seed's also on
-    the solve it is read from.  Lanczos stops at true Ritz residuals
-    within ``err``, tested once the step count has grown by a quarter (all
-    tests cost about twice the last) or the next Lanczos vector is shorter
-    than ``err``, or after r steps.
+    A call returns ``(f, v, f')`` (see ``_rows``), ``batch`` and ``seeds``
+    records ``(theta, f, v, f')``; ``err`` bounds the error of a computed
+    ``f`` (``_errs``).
     """
-
-    _LANCZOS_TOL = 1e-10
 
     def __init__(self, P: np.ndarray, R: np.ndarray):
         self.P, self.R = P, R
         self.r = P.shape[0]
-        # a dense solve errs by a small multiple of eps * ||cos P + sin R||;
-        # Lanczos stops at a residual that bounds its error
-        scale = frobenius(P) + frobenius(R)
-        if self.r <= DENSE_SWEEP_MAX:
-            self.err = 8 * self.r * sys.float_info.epsilon * scale
-        else:
-            self.err = self._LANCZOS_TOL * scale
-            rng = np.random.default_rng(0x5EED)
-            x = rng.standard_normal(self.r) + 1j * rng.standard_normal(self.r)
-            self._start = x / np.linalg.norm(x)
+        self.err = float(_errs(P[None], R[None])[0])
 
-    def rows(self, c: np.ndarray, s: np.ndarray, both: bool):
-        """``(f, V, f')`` at the angles (c[k], s[k]), then, if ``both``, at
-        their antipodes, read from the bottom eigenpairs: f and f' as lists,
-        the top eigenvectors as the rows of V."""
-        return (yield _rows, self.r, (self, c, s, both))
+    def seeds(self) -> list:
+        F, V, DF = _seeds(self.P[None], self.R[None], np.array([self.err]))
+        theta = _seed_angles(SEED_ANGLES, False)[0]
+        return list(zip(theta.tolist(), F[0].tolist(), V[0], DF[0].tolist()))
 
-    def batch(self, theta: np.ndarray):
-        """``(t, *self(t))`` for t in theta, from one request."""
-        f, V, df = yield from self.rows(np.cos(theta), np.sin(theta), False)
-        return list(zip(theta.tolist(), f, V, df))
-
-    def seeds(self):
-        """``(theta, f, v, f')`` at the ``SEED_ANGLES`` angles 2 pi k / n,
-        k = 0..n-1, read from solves at k < n/2, or k <= n/4 when M is real."""
-        # M = P + iR is real exactly when P is real and R imaginary
-        real = not (self.P.imag.any() or self.R.real.any())
-        theta, k, c, s = _seed_angles(SEED_ANGLES, real)
-        f, V, df = yield from self.rows(c, s, True)
-        recs = dict(zip(k, zip(f, V, df)))
-        if real:
-            for j, (f, v, df) in list(recs.items()):
-                recs.setdefault(-j % len(theta), (f, v.conj(), -df))
-        return [(t, *recs[j]) for j, t in enumerate(theta)]
+    def batch(self, theta: np.ndarray) -> list:
+        f, V, df = _rows(self.P[None], self.R[None], np.array([self.err]),
+                         np.cos(theta), np.sin(theta), False)
+        return list(zip(theta.tolist(), f[0].tolist(), V[0], df[0].tolist()))
 
     def __call__(self, theta: float):
-        c, s = math.cos(theta), math.sin(theta)
-        lam, v, Rv, Pv = yield _angles, self.r, (self, c, s)
-        # f = c v*Pv + s v*Rv gives one form from the other, so the slope
-        # c v*Rv - s v*Pv needs only the form whose weight is larger
-        if abs(c) >= abs(s):
-            return lam, v, (float(np.vdot(v, Rv).real) - s * lam) / c
-        return lam, v, (c * lam - float(np.vdot(v, Pv).real)) / s
-
-    def _lanczos(self, c: float, s: float,
-                 ends: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Ritz values and vectors (columns) of cos P + sin R, as ``eigh``
-        gives them, at the ends (0: bottom, -1: top) of the spectrum."""
-        # rows of Qc: the conjugated Lanczos basis, so that Qc @ w holds
-        # its inner products with w; rows of W: H applied to the basis; T:
-        # the tridiagonal matrix Q* H Q (its lower half)
-        r = self.r
-        H = c * self.P + s * self.R
-        Qc = np.empty((r, r), complex)
-        W = np.empty((r, r), complex)
-        T = np.zeros((r, r))
-        q = self._start
-        check = 1
-        for k in range(r):
-            Qc[k] = q.conj()
-            W[k] = w = H @ q
-            T[k, k] = np.vdot(q, w).real
-            for _ in range(2):          # full reorthogonalization, twice
-                w = w - (np.conj(Qc[:k + 1] @ w) @ Qc[:k + 1]).conj()
-            beta = float(np.linalg.norm(w))
-            if k + 1 >= check or beta <= self.err or k == r - 1:
-                theta, Y = np.linalg.eigh(T[:k + 1, :k + 1])
-                theta, Y = theta[ends], Y[:, ends]
-                X = (Qc[:k + 1].T @ Y).conj()
-                # stop at true residuals within err, or once Q spans the
-                # whole space
-                res = np.linalg.norm(W[:k + 1].T @ Y - X * theta, axis=0)
-                if k == r - 1 or res.max() <= self.err:
-                    return theta, X
-                check = math.ceil(1.25 * (k + 1))
-            T[k + 1, k] = beta
-            q = w / beta
+        return self.batch(np.array([theta]))[0][1:]
 
 
-def _illinois(g, a: float, ga: float, b: float, gb: float):
-    """Step: narrow the sign change of ``g`` on [a, b], ``g(a) > 0 > g(b)``,
-    by Illinois regula falsi: a kink is bracketed like a smooth root.  It
-    stops at width ``REFINE_WIDTH`` or once the secant point rounds onto
-    an end, where no later step can move the value.  The caller's step
-    ``g`` records the points it evaluates; nothing is returned."""
-    kept = 0                    # +1: b was kept by the last step, -1: a
+def _illinois(P: np.ndarray, R: np.ndarray, err: np.ndarray, a: np.ndarray,
+              ga: np.ndarray, b: np.ndarray, gb: np.ndarray, sign: float = 1.0) -> list:
+    """Narrow the sign change of g = sign * f' on the bracket [a[k], b[k]],
+    g(a) > 0 > g(b), of each matrix k of the stacks P, R by Illinois
+    regula falsi: a kink is bracketed like a smooth root.
+
+    A bracket stops at width ``REFINE_WIDTH``, at g = 0, or once its
+    secant point rounds onto an end, where no later step can move the
+    value.  Each step evaluates the open brackets together (``_rows``);
+    returns the steps as ``(k, t, f, v, f')``, one row per bracket k
+    evaluated.
+    """
+    k, steps = np.arange(len(a)), []
+    # the open brackets' ends, g at them, and +1 where the last step kept
+    # b, -1 where it kept a
+    X = np.array([a, ga, b, gb, np.zeros(len(a))])
     for _ in range(REFINE_STEPS):
+        a, ga, b, gb, kept = X
         t = (a * gb - b * ga) / (gb - ga)
-        if b - a <= REFINE_WIDTH or not a < t < b:
-            return
-        gt = yield from g(t)
-        if gt == 0.0:
-            return
-        if gt > 0:
-            a, ga = t, gt
-            if kept == 1:
-                gb /= 2
-            kept = 1
-        else:
-            b, gb = t, gt
-            if kept == -1:
-                ga /= 2
-            kept = -1
+        go = (b - a > REFINE_WIDTH) & (a < t) & (t < b)
+        if not go.all():
+            k, t, (a, ga, b, gb, kept) = k[go], t[go], X[:, go]
+        if not k.size:
+            break
+        f, V, df = (x[:, 0] for x in _rows(_sub(P, k), _sub(R, k), err[k], np.cos(t)[:, None],
+                                            np.sin(t)[:, None], False))
+        steps.append((k, t, f, V, df))
+        g = sign * df
+        up = g > 0
+        # the secant point replaces the end whose g has its sign; an end
+        # kept twice running has its g halved
+        twice = kept == np.where(up, 1.0, -1.0)
+        X = np.where(up, [t, g, b, np.where(twice, gb / 2, gb), np.ones(len(t))],
+                     [a, np.where(twice, ga / 2, ga), t, g, -np.ones(len(t))])
+        if not (g != 0).all():
+            k, X = k[g != 0], X[:, g != 0]
+    return steps
 
 
 def _outer_gap(pa: float, ha: float, za: complex, pb: float, hb: float,
@@ -319,141 +403,65 @@ def _inner_gap(za: complex, zb: complex) -> tuple[float, float, float]:
     return math.ldexp(abs(q), k), cmath.phase(-q), cmath.phase(zb / za)
 
 
-def _crossings(M: np.ndarray, t: float):
-    """Step: angles psi, ascending in [0, 2 pi), at which t is an eigenvalue
-    of Re(e^{-i psi} M); None when the pencil cannot be solved in w."""
-    w = yield _pencils, M.shape[0], (M, t)
-    if w is None:
-        return None
-    w, b = w[np.abs(np.abs(w) - 1) <= LEVEL_TAU], LEVEL_BETA
-    return np.sort(np.angle((w + b) / (1 + b.conjugate() * w)) % _TWO_PI) if w.size else w
+def _level(lo: np.ndarray, err):
+    """The cut loop's stopping rule hi - lo <= CUT_RTOL * hi + 4 * err
+    solved for the largest hi (and rounded), for each lo."""
+    hi = (lo + 4 * err) / (1 - CUT_RTOL)
+    while (over := hi - lo > CUT_RTOL * hi + 4 * err).any():
+        hi = np.where(over, np.nextafter(hi, lo), hi)
+    return hi
 
 
-# ---------------------------------------------------------------------------
-# the driver: kernel steps in lockstep
-# ---------------------------------------------------------------------------
-# An answer must not depend on the requests served with it, and must be
-# the one a single solve gets: products by a complex (not real) factor
-# keep a single solve's operand order, since numpy rounds z * M and M * z
-# differently, and each requester forms the cos and sin of its angles.
-
-def _stack(arrays: list) -> np.ndarray:
-    # a lone array is not copied: it may be as large as Lanczos takes
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _stacks(tops) -> tuple[np.ndarray, np.ndarray]:
-    return _stack([t.P for t in tops]), _stack([t.R for t in tops])
-
-
-def _rows(requests: list) -> list:
-    """Answers to ``_RotatedTop.rows``: one stacked eigh (or Lanczos at
-    each angle), and the slopes of the requests with as many rows from one
-    stacked product."""
-    tops, c, s, both = zip(*requests)
-    n = [len(x) for x in c]
-    if tops[0].r > DENSE_SWEEP_MAX:
-        eig = [tuple(map(np.array, zip(*(top._lanczos(x, y, [0, -1] if two else [-1])
-                                         for x, y in zip(cx, sx)))))
-               for top, cx, sx, two in requests]
-    else:
-        P, R = _stacks(tops)
-        if len(tops) > 1:
-            P, R = np.repeat(P, n, 0), np.repeat(R, n, 0)
-        cx, sx = np.concatenate(c)[:, None, None], np.concatenate(s)[:, None, None]
-        w, U = np.linalg.eigh(cx * P + sx * R)
-        ends = np.cumsum(n).tolist()
-        eig = [(w[e - k:e], U[e - k:e]) for k, e in zip(n, ends)]
-    out = [None] * len(requests)
-    groups: dict[tuple, list] = {}
-    for i, key in enumerate(zip(n, both)):
-        groups.setdefault(key, []).append(i)
-    for (_, two), idx in groups.items():
-        w, U, cx, sx = (_stack([x[i] for i in idx]) for x in (*zip(*eig), c, s))
-        f, V = w[..., -1], U[..., -1]
-        if two:     # the bottom eigenpair at theta is the top one at theta + pi
-            f, V = np.concatenate((f, -w[..., 0]), 1), np.concatenate((V, U[..., 0]), 1)
-            cx, sx = np.concatenate((cx, -cx), 1), np.concatenate((sx, -sx), 1)
-        P, R = _stacks([tops[i] for i in idx])
-        df = np.einsum("gki,gki->gk", V.conj(), cx[..., None] * (V @ R.transpose(0, 2, 1))
-                       - sx[..., None] * (V @ P.transpose(0, 2, 1))).real
-        for i, *answer in zip(idx, f.tolist(), V, df.tolist()):
-            out[i] = answer
-    return out
-
-
-def _angles(requests: list) -> list:
-    """Answers to ``_RotatedTop.__call__``: ``(f, v, R v, P v)`` at each
-    ``(top, c, s)``, from one stacked eigh (or Lanczos at each angle)."""
-    tops, c, s = zip(*requests)
-    if tops[0].r > DENSE_SWEEP_MAX:
-        eig = [top._lanczos(x, y, [-1]) for top, x, y in requests]
-        return [(float(w[-1]), U[:, -1], top.R @ U[:, -1], top.P @ U[:, -1])
-                for top, (w, U) in zip(tops, eig)]
-    P, R = _stacks(tops)
-    w, U = np.linalg.eigh(np.array(c)[:, None, None] * P + np.array(s)[:, None, None] * R)
-    V = U[:, :, -1][..., None]
-    return list(zip(w[:, -1].tolist(), V[..., 0], (R @ V)[..., 0], (P @ V)[..., 0]))
-
-
-def _pencils(pencils: list) -> list:
-    """Answers to ``_crossings``: the eigenvalues w of the pencil
-    A2 w^2 + A1 w + A0 at each ``(M, t)``, from one stacked solve and
-    eigvals; None where A2 is singular, which fails the whole stack, so
-    that it is redone one pencil at a time."""
+def _pencils(M: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The eigenvalues w of the pencil A2 w^2 + A1 w + A0 of each matrix of
+    the stack M at the level t[k], one row per matrix, from one stacked
+    solve and eigvals.  A singular A2 fails the stacked solve, so that it
+    is redone one pencil at a time, and gives a row of NaN."""
     b, bc = LEVEL_BETA, LEVEL_BETA.conjugate()
-    # (1 + bc w)^2 (z^2 M* - 2 t z I + M) = A2 w^2 + A1 w + A0
-    M, Ms, bbMs, bcbcM, bMs2, bcM2 = map(np.stack, zip(*(
-        (M, Ms, b * b * Ms, bc * bc * M, 2 * b * Ms, 2 * bc * M)
-        for M, Ms in ((M, M.conj().T) for M, _ in pencils))))
-    t = np.array([t for _, t in pencils])[:, None, None]
     n, r = M.shape[:2]
-    eye = np.eye(r)
-    A2 = Ms - 2 * t * bc * eye + bcbcM
-    A0_A1 = np.concatenate((bbMs - 2 * t * b * eye + M,
-                            bMs2 - 2 * t * (1 + b * bc) * eye + bcM2), 2)
+    Ms, tt, eye = M.conj().swapaxes(1, 2), t[:, None, None], np.eye(r)
+    # (1 + bc w)^2 (z^2 M* - 2 t z I + M) = A2 w^2 + A1 w + A0
+    A2 = Ms - 2 * tt * bc * eye + bc * bc * M
+    A0_A1 = np.concatenate((b * b * Ms - 2 * tt * b * eye + M,
+                            2 * b * Ms - 2 * tt * (1 + b * bc) * eye + 2 * bc * M), 2)
     C = np.zeros((n, 2 * r, 2 * r), complex)      # the companion matrices
     C[:, :r, r:] = eye
     try:
         C[:, r:] = -np.linalg.solve(A2, A0_A1)
-        return list(np.linalg.eigvals(C))
+        return np.linalg.eigvals(C)
     except np.linalg.LinAlgError:
-        return [None] if n == 1 else [_pencils([p])[0] for p in pencils]
+        if n == 1:
+            return np.full((1, 2 * r), np.nan, complex)
+        return np.concatenate([_pencils(M[k:k + 1], t[k:k + 1]) for k in range(n)])
 
 
-def _drive(steps: list) -> list:
-    """Run kernel steps in lockstep; returns their results in order.
-
-    A step is a generator that yields requests ``(serve, size, payload)``
-    and is sent the answer to its payload: ``serve`` answers all pending
-    payloads of its size at once.  Pencils wait while an eigensolve is
-    pending, which makes their stacks, the costliest, as tall as can be."""
-    out, pending, ready = [None] * len(steps), {}, dict.fromkeys(range(len(steps)))
-    while ready or pending:
-        for i, answer in ready.items():
-            try:
-                pending[i] = steps[i].send(answer)
-            except StopIteration as stop:
-                out[i] = stop.value
-        served = [i for i in pending if pending[i][0] is not _pencils] or list(pending)
-        groups: dict[tuple, list] = {}
-        for i in served:
-            serve, size, payload = pending.pop(i)
-            groups.setdefault((serve, size), []).append((i, payload))
-        ready = {}
-        for (serve, _), group in groups.items():
-            idx, payloads = zip(*group)
-            ready.update(zip(idx, serve(list(payloads))))
+def _crossings(M: np.ndarray, t: np.ndarray) -> dict:
+    """Level-set tests of the stack M at the levels t.  For each matrix k
+    that crosses: the angles psi, ascending in [0, 2 pi), at which t[k] is
+    an eigenvalue of Re(e^{-i psi} M[k]), or None when its pencil cannot
+    be solved in w.  A matrix absent has h < t[k] at every angle."""
+    W = _pencils(M, t)
+    near = np.abs(np.abs(W) - 1) <= LEVEL_TAU
+    b, out = LEVEL_BETA, {}
+    for k in np.flatnonzero(near.any(1) | np.isnan(W[:, 0])):
+        w = W[k, near[k]]
+        out[k] = None if np.isnan(W[k, 0]) else np.sort(
+            np.angle((w + b) / (1 + b.conjugate() * w)) % _TWO_PI)
     return out
 
 
-def _extremum(top: _RotatedTop, maximize: bool):
-    """Step: extremum of f over the circle as ``(psi, f, top eigenvector, hi)``.
+def _extremum(top: _RotatedTop, maximize: bool, evals: list | None = None,
+              cross: np.ndarray | None = None) -> tuple:
+    """Extremum of f over the circle as ``(psi, f, top eigenvector, hi)``.
 
     With f the support function h of W(M), maximizing gives the numerical
     radius and minimizing gives -(the Crawford number) when that is
     positive; ``hi`` bounds the radius, or the Crawford number, from
-    above.  See the module docstring for the method.
+    above.  ``evals`` are the records ``(psi, f, v, f')`` evaluated so
+    far, the seeds by default.  A dense radius comes from ``_dense`` with
+    the records it evaluated and the crossings ``cross`` of its first
+    level-set test (None if that test failed), and continues at the
+    criss-cross step.  See the module docstring for the method.
     """
     sign = 1.0 if maximize else -1.0
     err = _finite(top.err)
@@ -472,7 +480,7 @@ def _extremum(top: _RotatedTop, maximize: bool):
             return (*_outer_gap(pa, fa, za, pb, fb, zb, err), 0.0)
         return _inner_gap(za, zb)
 
-    def record(t: float, f: float, v: np.ndarray, df: float) -> float:
+    def record(t: float, f: float, v: np.ndarray, df: float) -> None:
         nonlocal best
         t %= _TWO_PI
         j = bisect.bisect_left(recs, (t,))
@@ -483,47 +491,39 @@ def _extremum(top: _RotatedTop, maximize: bool):
                 gaps[j - 1] = gap(j - 1)
         if sign * f > best[1]:
             best = (t, sign * f, v, sign * df)
-        return sign * df
 
-    def slope(t: float):
-        return record(t, *(yield from top(t)))
-
-    def narrow(k: int):
+    def narrow(k: int) -> None:
         # narrow a sign change of the slope across gap k
         a, _, ga, _ = recs[k]
         b, _, gb, _ = recs[(k + 1) % len(recs)]
         if sign * ga > 0 > sign * gb:
-            yield from _illinois(slope, a, sign * ga, a + (b - a) % _TWO_PI, sign * gb)
+            bracket = np.array([[err], [a], [sign * ga], [a + (b - a) % _TWO_PI], [sign * gb]])
+            for _, t, f, v, df in _illinois(top.P[None], top.R[None], *bracket, sign):
+                record(t.item(), f.item(), v[0], df.item())
 
     def toward_best() -> int:
         # the gap that the best angle's slope points into
         k = bisect.bisect_left(recs, (best[0],))
         return k if best[3] > 0 else k - 1
 
-    seeds = yield from top.seeds()          # ascending in [0, 2 pi)
-    recs[:] = [(t, f, df, cmath.rect(1.0, t) * complex(f, df)) for t, f, _, df in seeds]
-    best = max([best, *((t, sign * f, v, sign * df) for t, f, v, df in seeds)],
-               key=lambda rec: rec[1])
-
-    if maximize and top.r <= DENSE_SWEEP_MAX:
-        M = top.P + 1j * top.R
-        for _ in range(LEVEL_ROUNDS):
-            yield from narrow(toward_best())
-            lo = best[1]
-            # the cut loop's stopping rule, solved for hi (and rounded)
-            hi = (lo + 4 * err) / (1 - CUT_RTOL)
-            while hi - lo > CUT_RTOL * hi + 4 * err:
-                hi = math.nextafter(hi, lo)
-            cross = yield from _crossings(M, hi)
-            if cross is None:
-                break
-            if not cross.size:
-                return (*best[:3], hi)
-            mid = cross + np.diff(cross, append=cross[0] + _TWO_PI) / 2
-            for rec in (yield from top.batch(mid)):
-                record(*rec)
-            if best[1] <= lo:           # the crossings raised nothing
-                break
+    for rec in top.seeds() if evals is None else evals:
+        record(*rec)
+    for rnd in range(1, LEVEL_ROUNDS + 1):
+        if cross is None:
+            break
+        # criss-cross: h midway between the crossings
+        lo = best[1]
+        mid = cross + np.diff(cross, append=cross[0] + _TWO_PI) / 2
+        for rec in top.batch(mid):
+            record(*rec)
+        if best[1] <= lo or rnd == LEVEL_ROUNDS:   # nothing raised, or no test left
+            break
+        narrow(toward_best())
+        hi = _level(np.array([best[1]]), err)
+        found = _crossings((top.P + 1j * top.R)[None], hi)
+        if not found:
+            return (*best[:3], float(hi[0]))
+        cross = found[0]
 
     gaps.extend(gap(k) for k in range(len(recs)))
     for step in range(CUT_STEPS + 1):
@@ -541,14 +541,14 @@ def _extremum(top: _RotatedTop, maximize: bool):
         # cut the gap that attains the bound: narrow a local extremum
         # inside it, else evaluate towards its aim
         n = len(recs)
-        yield from narrow(k)
+        narrow(k)
         if len(recs) == n:
-            yield from slope(aim[k])
+            record(aim[k], *top(aim[k]))
         if len(recs) == n:      # every angle tried was evaluated before
             break
 
     if maximize or best[1] > 0:
-        yield from narrow(toward_best())
+        narrow(toward_best())
     t, f, v, _ = best
     return t, sign * f, v, hi
 
@@ -564,43 +564,99 @@ def spectral_norm(M: np.ndarray) -> float:
     return _finite(float(np.linalg.svd(M, compute_uv=False)[0]))
 
 
-def _radius_step(M: np.ndarray):
-    """Step: the numerical radius as ``(value, theta, eigvec, hi)``: the
-    supremum is attained by the top eigenvector of Re(e^{i theta} M), and
-    ``hi`` bounds it from above."""
-    M = as_matrix(M)
-    r = M.shape[0]
-    if r == 0:
-        return 0.0, 0.0, np.zeros(0, complex), 0.0
-    if r == 1:
-        m = complex(M[0, 0])
-        val = abs(m)
-        theta = float(-np.angle(m)) % (2 * np.pi) if val > 0 else 0.0
-        return val, theta, np.ones(1, dtype=complex), val
-    H, K = _split(M)
-    nK = frobenius(K)
-    # an overflowing ||M|| admits no skew part but 0
-    if nK == 0 or nK <= 1e-12 * frobenius(M) < math.inf:
-        # Hermitian: the support function peaks exactly at theta = 0 or pi.
-        w, V = np.linalg.eigh(H.real if not H.imag.any() else H)
-        if abs(w[-1]) >= abs(w[0]):
-            val, theta, vec = float(abs(w[-1])), 0.0, V[:, -1]
-        else:
-            val, theta, vec = float(abs(w[0])), float(np.pi), V[:, 0]
-        return _finite(val), theta, vec, val
-    # Re(e^{i theta} M) is the support function's matrix at psi = -theta
-    psi, val, vec, hi = yield from _extremum(_RotatedTop(H, K), maximize=True)
-    return val, -psi % (2 * np.pi), vec, _finite(hi)
+def _dense(P: np.ndarray, R: np.ndarray) -> list:
+    """``_radius`` of each matrix of the dense stacks M = P + iR, by the
+    level-set phase: the seeds, Illinois narrowing of the best seed's
+    bracket and one level-set test, each as arrays over the stack.  A
+    radius whose test finds crossings continues in ``_extremum``.  The
+    angle theta is -psi: Re(e^{i theta} M) is the support function's
+    matrix at psi = -theta."""
+    n = len(P)
+    err = _finite(_errs(P, R))
+    theta = _seed_angles(SEED_ANGLES, False)[0]
+    F, V, DF = _seeds(P, R, err)
+    # psi, h, v and h' at the best angle, per matrix
+    j = F.argmax(1)
+    best = [theta[j], *(x[np.arange(n), j] for x in (F, V, DF))]
+    # narrow the sign change of the slope across the gap that the best
+    # seed's slope points into
+    a = np.where(best[3] > 0, j, j - 1) % SEED_ANGLES
+    b = (a + 1) % SEED_ANGLES
+    ga, gb = DF[np.arange(n), a], DF[np.arange(n), b]
+    k = np.flatnonzero((ga > 0) & (gb < 0))
+    a, b = theta[a[k]], theta[b[k]]
+    steps = [(k[i], *rest) for i, *rest in _illinois(
+        _sub(P, k), _sub(R, k), err[k], a, ga[k], a + (b - a) % _TWO_PI, gb[k])]
+    for i, t, f, v, df in steps:
+        up = f > best[1][i]
+        for x, y in zip(best, (t % _TWO_PI, f, v, df)):
+            x[i[up]] = y[up]
+    hi = _finite(_level(best[1], err))
+    out = list(zip(best[1].tolist(), (-best[0] % _TWO_PI).tolist(), best[2], hi.tolist()))
+    for i, cross in _crossings(P + 1j * R, hi).items():
+        evals = list(zip(theta.tolist(), F[i].tolist(), V[i], DF[i].tolist()))
+        evals += [(t[q].item(), f[q].item(), v[q], df[q].item())
+                  for s, t, f, v, df in steps for q in np.flatnonzero(s == i)]
+        psi, val, vec, h = _extremum(_RotatedTop(P[i], R[i]), True, evals, cross)
+        out[i] = val, -psi % _TWO_PI, vec, _finite(h)
+    return out
 
 
 def _radii(mats: list) -> list[tuple[float, float, np.ndarray, float]]:
-    """``_radius`` of each matrix, all solved together: each result is
-    bit-identical to that of a solve alone."""
-    return _drive([_radius_step(M) for M in mats])
+    """``_radius`` of each matrix.  The matrices of one size are solved as
+    one stack, and each result is bit-identical to that of a solve
+    alone."""
+    mats = [as_matrix(M) for M in mats]
+    out = [None] * len(mats)
+    sizes: dict[int, list] = {}
+    for i, M in enumerate(mats):
+        sizes.setdefault(M.shape[0], []).append(i)
+    for idx in sizes.values():
+        for i, res in zip(idx, _radii_of_size(_stack([mats[i] for i in idx]))):
+            out[i] = res
+    return out
+
+
+def _radii_of_size(M: np.ndarray) -> list:
+    """``_radius`` of each matrix of the stack M: in closed form up to 1
+    row, from the spectrum of a Hermitian M, else from the support
+    function (``_dense`` up to ``DENSE_SWEEP_MAX``)."""
+    n, r = M.shape[:2]
+    if r <= 1:
+        m = M[:, 0, 0] if r else np.zeros(n, complex)
+        val = _finite(np.hypot(m.real, m.imag))
+        theta = np.where(val > 0, -np.angle(m) % _TWO_PI, 0.0)
+        return [(x, t, np.ones(r, complex), x) for x, t in zip(val.tolist(), theta.tolist())]
+    H, K = _split(M)
+    nK, nM = frobenius(K), 1e-12 * frobenius(M)
+    # an overflowing ||M|| admits no skew part but 0
+    herm = (nK == 0) | ((nK <= nM) & (nM < math.inf))
+    out = [None] * n
+    for i in np.flatnonzero(herm):
+        # Hermitian: the support function peaks exactly at theta = 0 or pi
+        w, U = np.linalg.eigh(H[i].real if not H[i].imag.any() else H[i])
+        if abs(w[-1]) >= abs(w[0]):
+            val, theta, vec = float(abs(w[-1])), 0.0, U[:, -1]
+        else:
+            val, theta, vec = float(abs(w[0])), float(np.pi), U[:, 0]
+        out[i] = _finite(val), theta, vec, val
+    skew = np.flatnonzero(~herm)
+    if skew.size:
+        P, R = _sub(H, skew), _sub(K, skew)
+        if r <= DENSE_SWEEP_MAX:
+            solved = _dense(P, R)
+        else:
+            solved = [(val, -psi % _TWO_PI, vec, _finite(hi)) for psi, val, vec, hi in
+                      (_extremum(_RotatedTop(p, q), True) for p, q in zip(P, R))]
+        for i, res in zip(skew, solved):
+            out[i] = res
+    return out
 
 
 def _radius(M: np.ndarray) -> tuple[float, float, np.ndarray, float]:
-    """Numerical radius as ``(value, theta, eigvec, hi)``; see ``_radius_step``."""
+    """Numerical radius as ``(value, theta, eigvec, hi)``: the supremum is
+    attained by the top eigenvector of Re(e^{i theta} M), and ``hi``
+    bounds it from above."""
     return _radii([M])[0]
 
 
@@ -619,7 +675,7 @@ def _crawford(M: np.ndarray) -> tuple[float, float]:
     if r == 1:
         val = abs(complex(M[0, 0]))
         return val, val
-    [(_, h_min, _, hi)] = _drive([_extremum(_RotatedTop(*_split(M)), maximize=False)])
+    _, h_min, _, hi = _extremum(_RotatedTop(*_split(M)), maximize=False)
     return max(0.0, -h_min), hi
 
 

@@ -25,14 +25,21 @@ def as_matrix(a) -> np.ndarray:
     M = np.asarray(a, dtype=complex)
     if M.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={M.ndim}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return M
 
 
-def frobenius(M: np.ndarray) -> float:
-    """Frobenius norm; where its sum of squares overflows, that of M
-    divided by its largest entry, times that entry."""
+def frobenius(M: np.ndarray):
+    """Frobenius norm of a matrix, or an array of that of each matrix of a
+    stack (each the same bits in any stack, but summed in another order
+    than a lone matrix's); where a sum of squares overflows, that of the
+    matrix divided by its largest entry, times that entry."""
+    if M.ndim > 2:
+        n = np.linalg.norm(M, axis=(-2, -1))
+        for k in np.flatnonzero(n == np.inf):
+            n[k] = frobenius(M[k])
+        return n
     n = float(np.linalg.norm(M))
     if n == np.inf:
         m = float(np.abs(M).max())
@@ -41,17 +48,13 @@ def frobenius(M: np.ndarray) -> float:
 
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
-    V = V.copy()
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        k = int(np.argmax(mags > 1e-12 * top))
-        phase = col[k] / abs(col[k])
-        V[:, j] = col * phase.conjugate()
-    return V
+    # each column times the conjugate phase of its first entry above
+    # 1e-12 of its largest; a zero column stays as it is
+    mags = np.abs(V)
+    k = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    top = V[k, np.arange(V.shape[1])]
+    size = np.hypot(top.real, top.imag)
+    return V * np.where(size == 0, 1, top / np.where(size == 0, 1, size)).conjugate()
 
 
 def hermitian_eig(M) -> tuple[np.ndarray, np.ndarray]:

@@ -250,11 +250,6 @@ def test_lanczos_matches_dense_path(make, monkeypatch):
     assert craw <= craw_hi
 
 
-def _run(step):
-    # a kernel step (a generator of solve requests) run to its result
-    return functionals._drive([step])[0]
-
-
 @pytest.fixture
 def eigh_sizes(monkeypatch):
     # orders of the matrices passed to numpy.linalg.eigh; in Lanczos the
@@ -275,7 +270,7 @@ def test_lanczos_stops_before_spanning_the_space(eigh_sizes):
     # cannot pass there, the bound err (relative to the norm) can
     r = 160
     top = functionals._RotatedTop(*functionals._split(_large_negative_top(r)))
-    f, v, _ = _run(top(0.0))
+    f, v, _ = top(0.0)
     assert max(eigh_sizes) < r
     assert np.linalg.norm(top.P @ v - f * v) <= top.err
     assert abs(f - np.linalg.eigvalsh(top.P)[-1]) <= top.err
@@ -286,7 +281,7 @@ def test_lanczos_stops_when_the_krylov_space_closes(eigh_sizes):
     # solves, the Krylov space is invariant up to rounding
     lam = np.arange(1, 7) * np.exp(1j * np.pi / 3 * np.arange(6))
     M = np.diag(np.tile(lam, 22))
-    f, _, _ = _run(functionals._RotatedTop(*functionals._split(M))(0.3))
+    f, _, _ = functionals._RotatedTop(*functionals._split(M))(0.3)
     assert max(eigh_sizes) == 6
     assert f == pytest.approx((np.exp(-0.3j) * lam).real.max(), rel=1e-12)
     assert numerical_radius(M) == pytest.approx(6.0, rel=1e-12)
@@ -300,8 +295,8 @@ def test_lanczos_value_depends_on_angle_alone():
     M = space.compression(random_in_BA(space, rng))
     first, second = (functionals._RotatedTop(*functionals._split(M))
                      for _ in range(2))
-    _run(first(0.3)), _run(first(2.0)), _run(second(4.0))
-    (f1, _, df1), (f2, _, df2) = _run(first(1.0)), _run(second(1.0))
+    first(0.3), first(2.0), second(4.0)
+    (f1, _, df1), (f2, _, df2) = first(1.0), second(1.0)
     assert f1 == f2 and df1 == df2
 
 
@@ -605,27 +600,23 @@ def test_crawford_number_of_ranges_with_0_on_an_edge(P):
 @pytest.fixture
 def evaluations(monkeypatch):
     # values of the support function, seed angles included, counted into
-    # the last entry
+    # the last entry: every value is a seed or a row of _rows
     counts = []
-    top = functionals._RotatedTop
-    call, batch, seeds = top.__call__, top.batch, top.seeds
+    rows, seeds = functionals._rows, functionals._seeds
 
-    def counted_call(self, t):
-        counts[-1] += 1
-        return call(self, t)
-
-    def counted_batch(self, theta):
-        counts[-1] += len(theta)
-        return batch(self, theta)
-
-    def counted_seeds(self):
-        out = yield from seeds(self)
-        counts[-1] += len(out)
+    def counted_rows(P, R, err, c, s, both):
+        out = rows(P, R, err, c, s, both)
+        if not both:            # two-ended rows are read by _seeds alone
+            counts[-1] += out[0].size
         return out
 
-    monkeypatch.setattr(top, "__call__", counted_call)
-    monkeypatch.setattr(top, "batch", counted_batch)
-    monkeypatch.setattr(top, "seeds", counted_seeds)
+    def counted_seeds(P, R, err):
+        out = seeds(P, R, err)
+        counts[-1] += out[0].size
+        return out
+
+    monkeypatch.setattr(functionals, "_rows", counted_rows)
+    monkeypatch.setattr(functionals, "_seeds", counted_seeds)
     return counts
 
 
@@ -775,26 +766,30 @@ def test_every_solved_record_matches_a_single_solve(make, monkeypatch):
     # at its own angle gives, to within err: a record read off as the
     # antipode or mirror of an angle that is not one is caught here
     solved = []
-    top = functionals._RotatedTop
-    seeds, batch = top.seeds, top.batch
+    top, seeds = functionals._RotatedTop, functionals._seeds
+    batch = top.batch
+    theta = np.arange(functionals.SEED_ANGLES) * (2 * np.pi / functionals.SEED_ANGLES)
 
-    def recorded_seeds(self):
-        out = yield from seeds(self)
-        solved.extend((self, *rec) for rec in out)
+    def recorded_seeds(P, R, err):
+        out = seeds(P, R, err)
+        for k, rows in enumerate(zip(*out)):
+            rot = top(P[k], R[k])
+            solved.extend((rot, t, *rec) for t, *rec in zip(theta, *rows))
         return out
 
     def recorded_batch(self, theta):
-        out = yield from batch(self, theta)
+        out = batch(self, theta)
         solved.extend((self, *rec) for rec in out)
         return out
 
-    monkeypatch.setattr(top, "seeds", recorded_seeds)
+    monkeypatch.setattr(functionals, "_seeds", recorded_seeds)
     monkeypatch.setattr(top, "batch", recorded_batch)
     M = make(monkeypatch)
     functionals._radius(M)
+    monkeypatch.setattr(top, "batch", batch)
     assert len(solved) >= functionals.SEED_ANGLES
     for rot, t, f, v, df in solved:
-        f1, _, df1 = _run(rot(t))
+        f1, _, df1 = rot(t)
         H = np.cos(t) * rot.P + np.sin(t) * rot.R
         assert abs(f - f1) <= rot.err and abs(df - df1) <= rot.err, t
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -814,7 +809,7 @@ def test_seed_step_solves_half_the_seeds_or_fewer(real, solves, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     rot = functionals._RotatedTop(*functionals._split(_gaussian(5, real)))
-    seeds = _run(rot.seeds())
+    seeds = rot.seeds()
     assert shapes == [(solves, 5, 5)]
     assert [t for t, *_ in seeds] == (np.arange(functionals.SEED_ANGLES) * (
         2 * np.pi / functionals.SEED_ANGLES)).tolist()
@@ -895,10 +890,49 @@ def _barely_skew(r):
 
 def test_special_radii_do_not_depend_on_the_stack():
     # a real M, a nearly Hermitian one and the criss-cross triangle, which
-    # needs a second level-set round, among generic matrices of their size
-    _assert_stacked_equals_alone([_gaussian(5), _gaussian(5, real=True),
-                                  _barely_skew(5), _gaussian(3),
-                                  _criss_cross(), _gaussian(3, real=True)])
+    # needs a second level-set round, among generic matrices of their size;
+    # a 1 x 1, a Hermitian and a huge matrix (its sums of squares overflow)
+    # among generic 2 x 2 ones
+    G = _gaussian(2)
+    huge = np.array([[1e200, 1e200], [1e200j, 1e200]])
+    with np.errstate(over="ignore"):        # the error scale's first norm
+        _assert_stacked_equals_alone([_gaussian(5), _gaussian(5, real=True),
+                                      _barely_skew(5), _gaussian(3),
+                                      _criss_cross(), _gaussian(3, real=True),
+                                      G, _gaussian(1), G.T, G + G.conj().T,
+                                      _gaussian(2, real=True), huge, G.conj()])
+
+
+def test_dense_radii_continue_exactly_when_their_first_test_crosses(
+        lattice_stacks, monkeypatch):
+    # each stack's level-set test covers every dense radius in it; only a
+    # radius whose test finds a crossing goes on, alone, in _extremum
+    tested, crossed, entered = [], [], []
+    crossings, extremum = functionals._crossings, functionals._extremum
+
+    def first_tests(M, t):
+        out = crossings(M, t)
+        if not entered or entered[-1] is not None:     # not within _extremum
+            tested.extend(M)
+            crossed.extend(M[k].tobytes() for k in out)
+        return out
+
+    def continued(top, maximize, *args):
+        entered.append(None)
+        try:
+            return extremum(top, maximize, *args)
+        finally:
+            entered[-1] = (top.P + 1j * top.R).tobytes()
+
+    monkeypatch.setattr(functionals, "_crossings", first_tests)
+    monkeypatch.setattr(functionals, "_extremum", continued)
+    dense = 0
+    for mats in lattice_stacks:
+        functionals._radii(mats)
+        dense += sum(np.linalg.norm(M - M.conj().T) > 2e-12 * np.linalg.norm(M)
+                     for M in mats if M.shape[0] >= 2)
+    assert len(tested) == dense
+    assert sorted(entered) == sorted(crossed)
 
 
 def test_radii_falling_back_to_the_cuts_do_not_depend_on_the_stack(monkeypatch):
@@ -914,9 +948,9 @@ def test_a_singular_pencil_does_not_fail_the_stack(monkeypatch):
     answers = []
     pencils = functionals._pencils
 
-    def recorded(requests):
-        out = pencils(requests)
-        answers.append(sorted(w is None for w in out))
+    def recorded(M, t):
+        out = pencils(M, t)
+        answers.append(sorted(np.isnan(out[:, 0]).tolist()))
         return out
 
     monkeypatch.setattr(functionals, "_pencils", recorded)

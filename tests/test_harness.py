@@ -216,14 +216,22 @@ def test_each_trial_solves_its_radii_in_one_kernel_call(monkeypatch):
     # observer sees each report once, in catalog order, as each entry
     # evaluated alone gives it
     calls, seen = [], []
-    drive = functionals._drive
-    monkeypatch.setattr(functionals, "_drive",
-                        lambda steps: calls.append(len(steps)) or drive(steps))
+    radii = functionals._radii
+
+    def counted(mats):
+        calls.append(len(mats))
+        return radii(mats)
+
+    # the trial's stack reaches _radii through inequalities, a radius
+    # solved alone through functionals
+    for module in (functionals, inequalities):
+        monkeypatch.setattr(module, "_radii", counted)
     cfg = EnsembleConfig(dims=[2, 3, 4, 5, 6], rank_policy="each", trials=20,
                          master_seed=42)
     run_fuzz(cfg, observer=lambda trial, report: seen.append((trial, report)))
     assert len(calls) == cfg.trials and min(calls) > 1
-    monkeypatch.setattr(functionals, "_drive", drive)
+    for module in (functionals, inequalities):
+        monkeypatch.setattr(module, "_radii", radii)
     catalog = list_catalog()
     assert [(trial, rep.id) for trial, rep in seen] == [
         (trial, entry.id) for trial in range(cfg.trials) for entry in catalog]
