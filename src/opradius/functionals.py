@@ -45,9 +45,9 @@ open) and the first level-set test (one stacked ``solve`` and
 ``_extremum`` from the records already evaluated, as do the Crawford
 number and the radius above ``DENSE_SWEEP_MAX``.  Each operation gives
 a matrix of a stack the bits it gives it alone, so a radius solved in a
-stack is bit-identical to one solved alone.  A fuzz trial learns the
-radii its catalog entries ask for in a recording pass and solves them in
-one ``_radii`` call (``inequalities.EvalContext``).
+stack is bit-identical to one solved alone.  A fuzz trial's catalog
+entries ask for their radii at once, and ``inequalities.EvalContext``
+solves them in one ``_radii`` call and its seminorms in stacked SVDs.
 
 ``lo`` is the value itself: the best support line evaluated, attained
 by its eigenvector.  ``hi`` is the bound of the worst gap (radius), or
@@ -141,11 +141,6 @@ def _split(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # halve first: M + M* overflows for entries above half the largest float
     M2, Ms2 = M / 2, M.conj().swapaxes(-1, -2) / 2
     return M2 + Ms2, (M2 - Ms2) / 1j
-
-
-def _stack(arrays: list) -> np.ndarray:
-    # a lone array is not copied: it may be as large as Lanczos takes
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _sub(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -557,11 +552,13 @@ def _extremum(top: _RotatedTop, maximize: bool, evals: list | None = None,
 # classical functionals on a compressed matrix
 # ---------------------------------------------------------------------------
 
-def spectral_norm(M: np.ndarray) -> float:
-    """Largest singular value; 0 for the empty matrix."""
+def spectral_norm(M: np.ndarray):
+    """Largest singular value, 0 for the empty matrix; of a stack, the
+    array of those of its matrices, each with the bits it has alone."""
     if M.size == 0:
-        return 0.0
-    return _finite(float(np.linalg.svd(M, compute_uv=False)[0]))
+        return np.zeros(M.shape[:-2]) if M.ndim > 2 else 0.0
+    top = np.linalg.svd(M, compute_uv=False)[..., 0]
+    return _finite(top if M.ndim > 2 else float(top))
 
 
 def _dense(P: np.ndarray, R: np.ndarray) -> list:
@@ -606,13 +603,15 @@ def _radii(mats: list) -> list[tuple[float, float, np.ndarray, float]]:
     """``_radius`` of each matrix.  The matrices of one size are solved as
     one stack, and each result is bit-identical to that of a solve
     alone."""
-    mats = [as_matrix(M) for M in mats]
     out = [None] * len(mats)
-    sizes: dict[int, list] = {}
+    shapes: dict[tuple, list] = {}
     for i, M in enumerate(mats):
-        sizes.setdefault(M.shape[0], []).append(i)
-    for idx in sizes.values():
-        for i, res in zip(idx, _radii_of_size(_stack([mats[i] for i in idx]))):
+        shapes.setdefault(np.shape(M), []).append(i)
+    for idx in shapes.values():
+        # a lone matrix is not copied: it may be as large as Lanczos takes
+        M = (np.asarray(mats[idx[0]])[None] if len(idx) == 1
+             else np.stack([mats[i] for i in idx]))
+        for i, res in zip(idx, _radii_of_size(as_matrix(M, stack=True))):
             out[i] = res
     return out
 

@@ -1,11 +1,12 @@
 """Fuzz campaigns over the inequality catalog.
 
 Each trial builds a random space on the (dim, rank) lattice, draws one
-operand kit covering every operand kind, then evaluates the selected
-catalog entries.  Proven statements must hold: any violation fails the
-run.  Flagged as-printed variants never fail the run; their violations
-are recorded as findings and can be replayed bit-for-bit from the
-serialized record.
+operand kit covering every operand kind, compresses its operators as one
+stack, then evaluates the selected catalog entries once each, together
+(``inequalities.evaluate_together``: one batch of radii, stacked SVDs).
+Proven statements must hold: any violation fails the run.  Flagged
+as-printed variants never fail the run; their violations are recorded
+as findings and can be replayed bit-for-bit from the serialized record.
 """
 from __future__ import annotations
 
@@ -164,23 +165,13 @@ def run_fuzz(config: ensembles.EnsembleConfig, entry_filter=None,
     for trial in range(config.trials):
         kit = build_kit(config, trial)
         ctx = EvalContext(kit.space)
-        calls = [(entry, (entry.id, kit.space, kit.operands[entry.operand_kind],
-                          {k: kit.params[k] for k in entry.params}))
-                 for entry in catalog]
-        # a recording pass learns the trial's radii, to solve them together;
-        # a report that asked for none is final already
-        ctx.recorded, final = [], {}
-        for entry, args in calls:
-            asked = len(ctx.recorded)
-            try:
-                report = evaluate(*args, ctx=ctx)
-            except Exception:       # raised again below
-                continue
-            if len(ctx.recorded) == asked:
-                final[entry.id] = report
-        ctx.solve_recorded()
-        for entry, args in calls:
-            report = final.get(entry.id) or evaluate(*args, ctx=ctx)
+        ctx.compress([T for ops in kit.operands.values() for T in ops])
+        reports = inequalities.evaluate_together(ctx, [
+            (entry.id, kit.space, kit.operands[entry.operand_kind],
+             {k: kit.params[k] for k in entry.params}) for entry in catalog])
+        for entry, report in zip(catalog, reports):
+            if isinstance(report, Exception):
+                raise report
             aggregates[entry.id].update(report)
             if report.status == "Violated":
                 record = _violation_record(config, trial, kit, report)

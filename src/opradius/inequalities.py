@@ -13,16 +13,18 @@ metric-positive operators are ordinary Hermitian PSD powers.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
 import math
+import types
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, Inapplicable
+from .errors import ConfigError, Inapplicable, OpRadiusError
 from .functionals import _radii, numerical_radius, spectral_norm
 from .numkernel import matrix_to_json
 from .space import SemiHilbertSpace
@@ -72,13 +74,10 @@ OPERAND_KINDS = {
 
 
 class EvalContext:
-    """Per-operand-set cache of compressions, norms, radii and other
-    results of the evaluators.
-
-    While ``recorded`` is a list, ``rad`` appends to it each matrix whose
-    radius is not cached, with its key, and answers 1.0 in its place (no
-    evaluator asks for a radius after branching on one); ``solve_recorded``
-    then solves them all together and stops the recording."""
+    """Per-trial cache of compressions, radii, seminorms and other results
+    of the evaluators.  An evaluator that needs radii or seminorms is a
+    generator: it yields all its requests at once, a list of ``("rad", M)``
+    and ``("nrm", M)``, and is sent their values in that order."""
 
     def __init__(self, space: SemiHilbertSpace):
         self.space = space
@@ -87,7 +86,6 @@ class EvalContext:
         self._rad: dict[bytes, float] = {}
         self._nrm: dict[bytes, float] = {}
         self._memo: dict = {}
-        self.recorded: list | None = None
 
     def comp(self, T) -> np.ndarray:
         hit = self._comp.get(id(T))
@@ -95,34 +93,67 @@ class EvalContext:
             hit = self._comp[id(T)] = (T, self.space.compression(T))
         return hit[1]
 
-    def rad(self, M: np.ndarray) -> float:
-        key = M.tobytes()
-        if key not in self._rad:
-            if self.recorded is not None:
-                self.recorded.append((key, M))
-                return 1.0
-            self._rad[key] = numerical_radius(M)
-        return self._rad[key]
+    def compress(self, ops) -> None:
+        """Compress the operators among ``ops`` as one stack where the metric
+        is complex (of a real one, a real operator is compressed in real
+        arithmetic); a stack with a non-member is left to ``comp``."""
+        if np.iscomplexobj(self.space.Q):
+            Ts = list({id(T): T for T in ops if T.ndim == 2}.values())
+            with contextlib.suppress(OpRadiusError, ValueError):
+                Ms = self.space.compression(np.stack(Ts), stack=True)
+                self._comp.update((id(T), (T, M)) for T, M in zip(Ts, Ms))
 
-    def solve_recorded(self) -> None:
-        todo, self.recorded = dict(self.recorded), None
-        try:
-            radii = _radii(list(todo.values()))
-        except ValueError:      # left for rad to raise, one matrix at a time
-            return
-        self._rad.update(zip(todo, (rad[0] for rad in radii)))
+    def rad(self, M: np.ndarray) -> float:
+        return numerical_radius(M)      # alone, where a batch raised
 
     def nrm(self, M: np.ndarray) -> float:
-        key = M.tobytes()
-        if key not in self._nrm:
-            self._nrm[key] = spectral_norm(M)
-        return self._nrm[key]
+        return spectral_norm(M)
+
+    def answer(self, asked: list) -> list:
+        """For each list of requests, its values, or the first exception one
+        of them raises alone.  The radii not cached are solved in one
+        ``_radii`` call and the seminorms in one stacked ``spectral_norm``
+        per shape and dtype; a batch that raises is redone by ``rad``."""
+        caches = {"rad": self._rad, "nrm": self._nrm}
+        asked = [[(kind, M, M.tobytes()) for kind, M in reqs] for reqs in asked]
+        rads, norms = {}, {}
+        for kind, M, key in (req for reqs in asked for req in reqs):
+            if key in caches[kind]:
+                continue
+            if kind == "rad":
+                rads[key] = M
+            else:
+                norms.setdefault((M.shape, M.dtype), {})[key] = M
+        if rads:
+            with contextlib.suppress(Exception):
+                self._rad.update(zip(rads, (
+                    res[0] for res in _radii(list(rads.values())))))
+        for group in norms.values():
+            with contextlib.suppress(Exception):
+                self._nrm.update(zip(group, spectral_norm(
+                    np.stack(list(group.values()))).tolist()))
+        out = []
+        for reqs in asked:
+            try:
+                out.append([caches[kind][key] if key in caches[kind]
+                            else getattr(self, kind)(M) for kind, M, key in reqs])
+            except Exception as exc:
+                out.append(exc)
+        return out
 
     def memo(self, key, make: Callable):
         """``make()``, computed at the first call with ``key`` that returns."""
         if key not in self._memo:
             self._memo[key] = make()
         return self._memo[key]
+
+
+def _rad(*mats) -> list:
+    return [("rad", M) for M in mats]
+
+
+def _nrm(*mats) -> list:
+    return [("nrm", M) for M in mats]
 
 
 def _hpow(ctx: EvalContext, H: np.ndarray, p: float) -> np.ndarray:
@@ -153,19 +184,21 @@ def _positive_part(M: np.ndarray, label: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# evaluators; ops is the operand list, params a dict
+# evaluators; ops is the operand list, params a dict.  An evaluator that
+# needs radii or seminorms forms every matrix it asks about, then yields
+# its requests in the order its sides read them (see EvalContext).
 # ---------------------------------------------------------------------------
 
 def _ev_cstar(ctx, ops, params):
     M = ctx.comp(ops[0])
-    vals = (ctx.nrm(M.conj().T @ M), ctx.nrm(M @ M.conj().T),
-            ctx.nrm(M) ** 2, ctx.nrm(M.conj().T) ** 2)
+    a, b, c, d = yield _nrm(M.conj().T @ M, M @ M.conj().T, M, M.conj().T)
+    vals = (a, b, c ** 2, d ** 2)
     return max(vals), min(vals), {}
 
 
 def _ev_norm_equiv(ctx, ops, params):
     M = ctx.comp(ops[0])
-    w, n = ctx.rad(M), ctx.nrm(M)
+    w, n = yield _rad(M) + _nrm(M)
     lower = w - n / 2           # w >= ||T||/2
     upper = n - w               # w <= ||T||
     scale = n if n > 0 else 1.0
@@ -182,12 +215,14 @@ def _ev_power(ctx, ops, params):
         raise Inapplicable("requires an integer n >= 1")
     n = int(n)
     M = ctx.comp(ops[0])
-    return ctx.rad(np.linalg.matrix_power(M, n)), ctx.rad(M) ** n, {}
+    lhs, w = yield _rad(np.linalg.matrix_power(M, n), M)
+    return lhs, w ** n, {}
 
 
-def _ev_prod4(ctx, ops, params):
+def _prod(ctx, ops, params, factor: float):
     B, C = ctx.comp(ops[0]), ctx.comp(ops[1])
-    return ctx.rad(B @ C), 4 * ctx.rad(B) * ctx.rad(C), {}
+    lhs, wB, wC = yield _rad(B @ C, B, C)
+    return lhs, factor * wB * wC, {}
 
 
 def _require_commuting(B, C, reason: str = "operands do not commute"):
@@ -197,17 +232,15 @@ def _require_commuting(B, C, reason: str = "operands do not commute"):
 
 
 def _ev_prod2(ctx, ops, params):
-    B, C = ctx.comp(ops[0]), ctx.comp(ops[1])
-    _require_commuting(B, C)
-    return ctx.rad(B @ C), 2 * ctx.rad(B) * ctx.rad(C), {}
+    _require_commuting(ctx.comp(ops[0]), ctx.comp(ops[1]))
+    return (yield from _prod(ctx, ops, params, 2))
 
 
 def _ev_prod1(ctx, ops, params):
     for i, label in ((0, "first"), (1, "second")):
         M = ctx.comp(ops[i])
         _require_commuting(M.conj().T, M, f"{label} operand is not metric-normal")
-    B, C = ctx.comp(ops[0]), ctx.comp(ops[1])
-    return ctx.rad(B @ C), ctx.rad(B) * ctx.rad(C), {}
+    return (yield from _prod(ctx, ops, params, 1))
 
 
 def _family(ctx, ops):
@@ -220,67 +253,70 @@ def _family(ctx, ops):
 def _ra1(ctx, ops, params, stated: bool):
     fb, S1, G = _family(ctx, ops)
     W = (len(fb) - 2) * G + S1.conj().T @ S1
-    g = ctx.nrm(G) ** 2 if stated else ctx.nrm(G)
-    return ctx.nrm(S1) ** 2, g + 0.5 * ctx.nrm(W), {}
+    nG, nS1, nW = yield _nrm(G, S1, W)
+    g = nG ** 2 if stated else nG
+    return nS1 ** 2, g + 0.5 * nW, {}
 
 
 def _ev_ran(ctx, ops, params):
     fb, S1, G = _family(ctx, ops)
-    return ctx.nrm(S1) ** 2, len(fb) * ctx.nrm(G), {}
+    nS1, nG = yield _nrm(S1, G)
+    return nS1 ** 2, len(fb) * nG, {}
 
 
 def _ev_ra6(ctx, ops, params):
     B, C = ctx.comp(ops[0]), ctx.comp(ops[1])
-    return (ctx.nrm((B + C) / 2) ** 2,
-            ctx.nrm((B.conj().T @ B + C.conj().T @ C) / 2), {})
+    lhs, rhs = yield _nrm((B + C) / 2, (B.conj().T @ B + C.conj().T @ C) / 2)
+    return lhs ** 2, rhs, {}
 
 
 def _ev_ra7(ctx, ops, params):
     B = ctx.comp(ops[0])
-    return (ctx.nrm((B + B.conj().T) / 2) ** 2,
-            ctx.nrm((B.conj().T @ B + B @ B.conj().T) / 2), {})
+    lhs, rhs = yield _nrm((B + B.conj().T) / 2,
+                          (B.conj().T @ B + B @ B.conj().T) / 2)
+    return lhs ** 2, rhs, {}
 
 
 def _ev_ra8(ctx, ops, params):
     B = ctx.comp(ops[0])
-    return ctx.nrm(B) ** 2, ctx.nrm(B.conj().T @ B + B @ B.conj().T), {}
+    lhs, rhs = yield _nrm(B, B.conj().T @ B + B @ B.conj().T)
+    return lhs ** 2, rhs, {}
 
 
 def _ev_rb1(ctx, ops, params):
     fb, S1, G = _family(ctx, ops)
     C = S1.conj().T @ S1 - G  # sum over j != k of Xj* Xk
-    return ctx.nrm(S1) ** 2, ctx.nrm(G) + 0.5 * ctx.nrm(C) ** 2 + 0.5, {}
+    nS1, nG, nC = yield _nrm(S1, G, C)
+    return nS1 ** 2, nG + 0.5 * nC ** 2 + 0.5, {}
 
 
 def _ev_rt1(ctx, ops, params):
     B, C = ctx.comp(ops[0]), ctx.comp(ops[1])
-    return (ctx.nrm(B + C) ** 2,
-            ctx.nrm(B.conj().T @ B + C.conj().T @ C)
-            + 0.5 * ctx.nrm(B.conj().T @ C + C.conj().T @ B) ** 2 + 0.5, {})
+    a, b, c = yield _nrm(B + C, B.conj().T @ B + C.conj().T @ C,
+                         B.conj().T @ C + C.conj().T @ B)
+    return a ** 2, b + 0.5 * c ** 2 + 0.5, {}
 
 
 def _ev_rt2(ctx, ops, params):
     B = ctx.comp(ops[0])
     Bs = B.conj().T
-    return (ctx.nrm(B + Bs) ** 2,
-            ctx.nrm(Bs @ B + B @ Bs)
-            + 0.5 * ctx.nrm(Bs @ Bs + B @ B) ** 2 + 0.5, {})
+    a, b, c = yield _nrm(B + Bs, Bs @ B + B @ Bs, Bs @ Bs + B @ B)
+    return a ** 2, b + 0.5 * c ** 2 + 0.5, {}
 
 
 def _ev_rt3(ctx, ops, params):
     B = ctx.comp(ops[0])
     Bs = B.conj().T
-    return (ctx.nrm(B) ** 2,
-            0.5 * ctx.nrm(Bs @ B + B @ Bs)
-            + 0.25 * ctx.nrm(Bs @ B - B @ Bs) ** 2 + 0.5, {})
+    a, b, c = yield _nrm(B, Bs @ B + B @ Bs, Bs @ B - B @ Bs)
+    return a ** 2, 0.5 * b + 0.25 * c ** 2 + 0.5, {}
 
 
 def _ev_ct1(ctx, ops, params):
     fb, S1, G = _family(ctx, ops)
-    lhs = ctx.nrm(S1) ** 2 + sum(ctx.nrm(b) ** 2 for b in fb)
-    rhs = ctx.nrm(G) + 0.25 * sum(
-        ctx.nrm(b1 + b2) ** 2 for b1 in fb for b2 in fb
-    )
+    n = len(fb)
+    nS1, *vals = yield _nrm(S1, *fb, G, *(b1 + b2 for b1 in fb for b2 in fb))
+    lhs = nS1 ** 2 + sum(x ** 2 for x in vals[:n])
+    rhs = vals[n] + 0.25 * sum(x ** 2 for x in vals[n + 1:])
     return lhs, rhs, {}
 
 
@@ -288,8 +324,9 @@ def _ev_td1_stated(ctx, ops, params):
     fb, S1, G = _family(ctx, ops)
     n = len(fb)
     eye = np.eye(G.shape[0])
-    lhs = ctx.nrm(S1) ** 2 + sum(ctx.nrm(b) ** 2 for b in fb)
-    rhs = ctx.nrm(G) + 0.25 * ctx.nrm((n - 1) * G + eye) ** 2
+    nS1, *nb, nG, nH = yield _nrm(S1, *fb, G, (n - 1) * G + eye)
+    lhs = nS1 ** 2 + sum(x ** 2 for x in nb)
+    rhs = nG + 0.25 * nH ** 2
     return lhs, rhs, {}
 
 
@@ -297,40 +334,40 @@ def _ev_td1_proof(ctx, ops, params):
     fb, S1, G = _family(ctx, ops)
     eye = np.eye(G.shape[0])
     C = S1.conj().T @ S1 - G
-    return ctx.nrm(S1) ** 2, ctx.nrm(G) + 0.25 * ctx.nrm(C + eye) ** 2, {}
+    nS1, nG, nC = yield _nrm(S1, G, C + eye)
+    return nS1 ** 2, nG + 0.25 * nC ** 2, {}
 
 
 def _ev_tt1(ctx, ops, params):
     B, C = ctx.comp(ops[0]), ctx.comp(ops[1])
-    u, v = ctx.nrm(B + C) ** 2, ctx.nrm(B - C) ** 2
-    lhs = ctx.nrm(B @ B.conj().T + C @ C.conj().T)
+    a, b, lhs = yield _nrm(B + C, B - C, B @ B.conj().T + C @ C.conj().T)
+    u, v = a ** 2, b ** 2
     return lhs, max(u, v) - abs(u - v) / 2, {}
 
 
-def _re_im_sq(ctx, B):
-    re2 = ctx.nrm((B + B.conj().T) / 2) ** 2
-    im2 = ctx.nrm((B - B.conj().T) / 2j) ** 2
-    return re2, im2
+def _re_im(B) -> list:
+    """Requests for the seminorms of the real and imaginary parts of B."""
+    return _nrm((B + B.conj().T) / 2, (B - B.conj().T) / 2j)
 
 
 def _ev_tt2(ctx, ops, params):
     B = ctx.comp(ops[0])
-    re2, im2 = _re_im_sq(ctx, B)
-    lhs = ctx.nrm(B @ B.conj().T + B.conj().T @ B)
+    n_re, n_im, lhs = yield _re_im(B) + _nrm(B @ B.conj().T + B.conj().T @ B)
+    re2, im2 = n_re ** 2, n_im ** 2
     return lhs, 4 * max(re2, im2) - 2 * abs(re2 - im2), {}
 
 
 def _ev_qa1(ctx, ops, params):
     B, C = ctx.comp(ops[0]), ctx.comp(ops[1])
-    lhs = ctx.rad(B @ C + C @ B)
-    rhs = 2 * SQRT2 * ctx.nrm(B) * ctx.rad(C)
+    lhs, nB, wC = yield _rad(B @ C + C @ B) + _nrm(B) + _rad(C)
+    rhs = 2 * SQRT2 * nB * wC
     aux = {"ratio": rhs / lhs} if lhs > 0 else {}
     return lhs, rhs, aux
 
 
 def _ev_qa5(ctx, ops, params):
     B = ctx.comp(ops[0])
-    w = ctx.rad(B)
+    w, = yield _rad(B)
     if w <= 1e-12:
         raise Inapplicable("radius too small to normalize")
     Bh = B / w
@@ -340,50 +377,54 @@ def _ev_qa5(ctx, ops, params):
         raise Inapplicable("vector has zero metric norm")
     y = y / ny
     lhs = float(np.linalg.norm(Bh @ y) ** 2 + np.linalg.norm(Bh.conj().T @ y) ** 2)
-    re2, im2 = _re_im_sq(ctx, Bh)
+    n_re, n_im = yield _re_im(Bh)
+    re2, im2 = n_re ** 2, n_im ** 2
     return lhs, 4 * (1 - abs(re2 - im2) / 2), {}
 
 
-def _gn_radicand(ctx, B):
-    re2, im2 = _re_im_sq(ctx, B)
-    return max(ctx.rad(B) ** 2 - abs(re2 - im2) / 2, 0.0)
+def _radicand(n_re, n_im, w):     # the answers to _re_im(B) + _rad(B)
+    re2, im2 = n_re ** 2, n_im ** 2
+    return max(w ** 2 - abs(re2 - im2) / 2, 0.0)
 
 
 def _ev_gn(ctx, ops, params):
     B = ctx.comp(ops[0])
     BX, BY = ctx.comp(ops[1]), ctx.comp(ops[2])
     C = ctx.comp(ops[3])
-    lhs = max(ctx.rad(B @ BX @ C + C @ BY @ B),
-              ctx.rad(B @ BX @ C - C @ BY @ B))
-    rhs = (2 * SQRT2 * ctx.nrm(C) * max(ctx.nrm(BX), ctx.nrm(BY))
-           * math.sqrt(_gn_radicand(ctx, B)))
+    P, R = B @ BX @ C, C @ BY @ B
+    w1, w2, nC, nX, nY, *rad = yield (_rad(P + R, P - R) + _nrm(C, BX, BY)
+                                      + _re_im(B) + _rad(B))
+    lhs = max(w1, w2)
+    rhs = 2 * SQRT2 * nC * max(nX, nY) * math.sqrt(_radicand(*rad))
     return lhs, rhs, {}
 
 
 def _ev_mm1(ctx, ops, params):
     B, C = ctx.comp(ops[0]), ctx.comp(ops[1])
-    lhs = max(ctx.rad(B @ C + C @ B), ctx.rad(B @ C - C @ B))
-    rhs = 2 * SQRT2 * ctx.nrm(C) * math.sqrt(_gn_radicand(ctx, B))
+    P, R = B @ C, C @ B
+    w1, w2, nC, *rad = yield _rad(P + R, P - R) + _nrm(C) + _re_im(B) + _rad(B)
+    lhs = max(w1, w2)
+    rhs = 2 * SQRT2 * nC * math.sqrt(_radicand(*rad))
     return lhs, rhs, {}
 
 
 def _ev_mm2(ctx, ops, params):
     B = ctx.comp(ops[0])
-    lhs = ctx.rad(B @ B)
-    rhs = SQRT2 * ctx.nrm(B) * math.sqrt(_gn_radicand(ctx, B))
+    lhs, nB, *rad = yield _rad(B @ B) + _nrm(B) + _re_im(B) + _rad(B)
+    rhs = SQRT2 * nB * math.sqrt(_radicand(*rad))
     return lhs, rhs, {}
 
 
 def _ev_xy2(ctx, ops, params):
     fb, S1, _ = _family(ctx, ops)
-    return (ctx.nrm(S1) ** 2,
-            sum(ctx.rad(b.conj().T @ S1) for b in fb), {})
+    nS1, *ws = yield _nrm(S1) + _rad(*(b.conj().T @ S1 for b in fb))
+    return nS1 ** 2, sum(ws), {}
 
 
 def _ev_st1(ctx, ops, params):
     fb, S1, _ = _family(ctx, ops)
-    return (ctx.nrm(S1) ** 2,
-            4 * ctx.rad(S1) * sum(ctx.rad(b) for b in fb), {})
+    nS1, wS, *ws = yield _nrm(S1) + _rad(S1, *fb)
+    return nS1 ** 2, 4 * wS * sum(ws), {}
 
 
 def _ev_st2(ctx, ops, params):
@@ -391,8 +432,8 @@ def _ev_st2(ctx, ops, params):
     for b in fb:
         _require_commuting(S1, b.conj().T,
                            "sum does not commute with a member's adjoint")
-    return (ctx.nrm(S1) ** 2,
-            2 * ctx.rad(S1) * sum(ctx.rad(b) for b in fb), {})
+    nS1, wS, *ws = yield _nrm(S1) + _rad(S1, *fb)
+    return nS1 ** 2, 2 * wS * sum(ws), {}
 
 
 def _alpha(params) -> float:
@@ -450,10 +491,11 @@ def _ev_md3(ctx, ops, params):
     r = params.get("r", 1.0)
     if r < 1:
         raise Inapplicable("exponent r must be >= 1")
-    lhs = ctx.rad(B) ** (2 * r)
-    rhs = ((1 + alpha) / 4
-           * ctx.nrm(_hpow(ctx, B.conj().T @ B, r) + _hpow(ctx, B @ B.conj().T, r))
-           + (1 - alpha) / 2 * ctx.rad(B @ B) ** r)
+    w, nH, wB2 = yield (
+        _rad(B) + _nrm(_hpow(ctx, B.conj().T @ B, r) + _hpow(ctx, B @ B.conj().T, r))
+        + _rad(B @ B))
+    lhs = w ** (2 * r)
+    rhs = (1 + alpha) / 4 * nH + (1 - alpha) / 2 * wB2 ** r
     return lhs, rhs, {}
 
 
@@ -498,13 +540,13 @@ def _mrq1(ctx, ops, params, stated: bool):
     if p * r < 2 or q * r < 2:
         raise Inapplicable("requires p*r >= 2 and q*r >= 2")
     comb = sum(_hpow(ctx, Ts[j], alpha) @ Xs[j] @ _hpow(ctx, Ss[j], alpha) for j in range(n))
-    lhs = ctx.rad(comb) ** r
-    nX = max(ctx.nrm(X) for X in Xs)
     mul = 2.0 if stated else 1.0
-    rhs = n ** (r - 1) * nX**r * sum(
-        ctx.nrm(_hpow(ctx, Ts[j], mul * p * r) / p + _hpow(ctx, Ss[j], mul * q * r) / q) ** alpha
-        for j in range(n)
-    )
+    w, *vals = yield _rad(comb) + _nrm(*Xs, *(
+        _hpow(ctx, Ts[j], mul * p * r) / p + _hpow(ctx, Ss[j], mul * q * r) / q
+        for j in range(n)))
+    lhs = w ** r
+    nX = max(vals[:n])
+    rhs = n ** (r - 1) * nX**r * sum(x ** alpha for x in vals[n:])
     return lhs, rhs, {}
 
 
@@ -517,18 +559,19 @@ def _ev_final1(ctx, ops, params):
     comb = sum(
         _hpow(ctx, Ts[j], alpha) @ Xs[j] @ _hpow(ctx, Ss[j], 1 - alpha) for j in range(n)
     )
-    lhs = ctx.rad(comb) ** r
-    nX = max(ctx.nrm(X) for X in Xs)
-    rhs = n ** (r - 1) * nX**r * sum(
-        ctx.nrm(alpha * _hpow(ctx, Ts[j], r) + (1 - alpha) * _hpow(ctx, Ss[j], r))
-        for j in range(n)
-    )
+    w, *vals = yield _rad(comb) + _nrm(*Xs, *(
+        alpha * _hpow(ctx, Ts[j], r) + (1 - alpha) * _hpow(ctx, Ss[j], r)
+        for j in range(n)))
+    lhs = w ** r
+    nX = max(vals[:n])
+    rhs = n ** (r - 1) * nX**r * sum(vals[n:])
     return lhs, rhs, {}
 
 
 def _ev_submult(ctx, ops, params):
     B, C = ctx.comp(ops[0]), ctx.comp(ops[1])
-    return ctx.nrm(B @ C), ctx.nrm(B) * ctx.nrm(C), {}
+    lhs, nB, nC = yield _nrm(B @ C, B, C)
+    return lhs, nB * nC, {}
 
 
 _CATALOG: list[InequalityCatalogEntry] = [
@@ -541,7 +584,7 @@ _CATALOG: list[InequalityCatalogEntry] = [
     InequalityCatalogEntry(
         "POWER", "w(T^n) <= w(T)^n", "single", _ev_power, params=("n",)),
     InequalityCatalogEntry(
-        "PROD4", "w(TS) <= 4 w(T) w(S)", "pair", _ev_prod4),
+        "PROD4", "w(TS) <= 4 w(T) w(S)", "pair", functools.partial(_prod, factor=4)),
     InequalityCatalogEntry(
         "PROD2", "TS = ST implies w(TS) <= 2 w(T) w(S)",
         "commuting_pair", _ev_prod2),
@@ -803,18 +846,55 @@ def evaluate(entry_id: str, space: SemiHilbertSpace, operands,
     """Evaluate one catalog entry on concrete operands.  The report holds
     ``params`` as floats.  A side that is not finite in double precision
     gives no verdict: it raises ValueError."""
+    report, = evaluate_together(ctx or EvalContext(space), [
+        (entry_id, space, operands, params, tol_abs, tol_rel)])
+    if isinstance(report, Exception):
+        raise report
+    return report
+
+
+def evaluate_together(ctx: EvalContext, calls: list) -> list:
+    """``evaluate(*call, ctx=ctx)`` of each call, or the exception it raises,
+    run together: one ``ctx.answer`` serves each round of requests of the
+    evaluators still waiting, and a request that raises raises in its own."""
+    runs = [_evaluation(ctx, *call) for call in calls]
+    out = [None] * len(runs)
+    waiting = [(i, run.send, None) for i, run in enumerate(runs)]
+    while True:
+        asked = []
+        for i, step, arg in waiting:
+            try:
+                asked.append((i, step(arg)))
+            except StopIteration as stop:
+                out[i] = stop.value
+            except Exception as exc:
+                out[i] = exc
+        if not asked:
+            return out
+        answers = ctx.answer([reqs for _, reqs in asked])
+        waiting = [(i, runs[i].throw if isinstance(got, Exception)
+                    else runs[i].send, got)
+                   for (i, _), got in zip(asked, answers)]
+
+
+def _evaluation(ctx: EvalContext, entry_id: str, space: SemiHilbertSpace,
+                operands, params: dict | None = None, tol_abs: float = TOL_ABS,
+                tol_rel: float = TOL_REL):
+    """``evaluate`` as a generator that passes its evaluator's requests on."""
     if not (math.isfinite(tol_abs) and math.isfinite(tol_rel)):
         raise ConfigError(f"tolerances {tol_abs!r}, {tol_rel!r} are not finite")
     entry = get_entry(entry_id)
     params = float_params(params)
     operands = list(operands)
-    if ctx is None:
-        ctx = EvalContext(space)
     common = dict(id=entry_id, tol_abs=tol_abs, tol_rel=tol_rel, params=params,
                   space=space, evaluated_on=operands)
     try:
         _check_signature(entry, operands)
-        lhs, rhs, aux = entry.evaluator(ctx, operands, params)
+        # the evaluator may be wrapped: a generator is known by what it returns
+        sides = entry.evaluator(ctx, operands, params)
+        if isinstance(sides, types.GeneratorType):
+            sides = yield from sides
+        lhs, rhs, aux = sides
     except Inapplicable as exc:
         return MarginReport(lhs=None, rhs=None, margin=None,
                             status="Inapplicable", reason=str(exc), **common)

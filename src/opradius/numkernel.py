@@ -20,11 +20,12 @@ from .errors import (
 )
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D complex128 array and reject non-finite entries."""
+def as_matrix(a, stack: bool = False) -> np.ndarray:
+    """Coerce to a 2-D complex128 array, or with ``stack`` to a stack of
+    them, and reject non-finite entries."""
     M = np.asarray(a, dtype=complex)
-    if M.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={M.ndim}")
+    if M.ndim != 2 + stack:
+        raise ValueError(f"expected a 2-D matrix, got ndim={M.ndim - stack}")
     if not np.isfinite(M).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return M
@@ -38,7 +39,8 @@ def frobenius(M: np.ndarray):
     if M.ndim > 2:
         n = np.linalg.norm(M, axis=(-2, -1))
         for k in np.flatnonzero(n == np.inf):
-            n[k] = frobenius(M[k])
+            with np.errstate(over="ignore"):    # the stack's norm warned
+                n[k] = frobenius(M[k])
         return n
     n = float(np.linalg.norm(M))
     if n == np.inf:

@@ -91,44 +91,49 @@ class SemiHilbertSpace:
 
     # -- operators ---------------------------------------------------------
 
-    def _check_operator(self, T) -> np.ndarray:
-        T = as_matrix(T)
-        if T.shape != (self.dim, self.dim):
+    def _check_operator(self, T, stack: bool = False) -> np.ndarray:
+        T = as_matrix(T, stack)
+        if T.shape[stack:] != (self.dim, self.dim):
             raise DimensionMismatch(
                 f"operator is {T.shape}, space dim is {self.dim}"
             )
         return T
 
-    def membership_residual(self, T) -> tuple[float, float]:
+    def membership_residual(self, T, stack: bool = False):
         """Residual ||A^{1/2} T Qn|| = ||Lam^{1/2} Q* T Qn|| of the
-        nullspace-invariance test, and its threshold."""
-        T = self._check_operator(T)
+        nullspace-invariance test, and its threshold; with ``stack``, the
+        arrays of those of a stack of operators."""
+        T = self._check_operator(T, stack)
         if self.rank in (0, self.dim):
-            return 0.0, self.tol
-        leak = self.Q.conj().T @ T @ self.Qn
-        res = float(np.linalg.norm(self._sqrt_lam[:, None] * leak))
+            return np.zeros(T.shape[:stack]) if stack else 0.0, self.tol
+        leak = self._sqrt_lam[:, None] * (self.Q.conj().T @ T @ self.Qn)
+        res = frobenius(leak) if stack else float(np.linalg.norm(leak))
         thr = self.tol * (1.0 + frobenius(T) * frobenius(self.metric))
         return res, thr
 
     def require_member(self, T, exc_type=NotInBA,
                        lead: str = "operator maps null(A) outside null(A)",
-                       tail: str = "") -> np.ndarray:
+                       tail: str = "", stack: bool = False) -> np.ndarray:
         """Return the validated ``T``, or raise ``exc_type`` reading
-        ``"<lead>: nullspace-invariance residual R exceeds THR<tail>"``."""
-        T = self._check_operator(T)
-        res, thr = self.membership_residual(T)
-        if not res <= thr:
+        ``"<lead>: nullspace-invariance residual R exceeds THR<tail>"``
+        (for a ``stack``, of its first operator that fails)."""
+        T = self._check_operator(T, stack)
+        res, thr = np.broadcast_arrays(*self.membership_residual(T, stack))
+        if not np.all(res <= thr):
+            k = np.argmin(res <= thr)       # the first that fails; NaN fails
             raise exc_type(
-                f"{lead}: nullspace-invariance residual {res:.3e} exceeds "
-                f"{thr:.3e}{tail}"
+                f"{lead}: nullspace-invariance residual {res.flat[k]:.3e} "
+                f"exceeds {thr.flat[k]:.3e}{tail}"
             )
         return T
 
-    def compression(self, T, check: bool = True) -> np.ndarray:
-        """The r x r matrix Lam^{1/2} (Q* T Q) Lam^{-1/2}."""
-        T = self.require_member(T) if check else self._check_operator(T)
+    def compression(self, T, check: bool = True, stack: bool = False) -> np.ndarray:
+        """The r x r matrix Lam^{1/2} (Q* T Q) Lam^{-1/2}; with ``stack``, those
+        of a stack of operators, each as alone unless real and complex mix."""
+        T = (self.require_member(T, stack=stack) if check
+             else self._check_operator(T, stack))
         if self.rank == 0:
-            return np.zeros((0, 0), dtype=complex)
+            return np.zeros(T.shape[:stack] + (0, 0), dtype=complex)
         if not T.imag.any() and not np.iscomplexobj(self.Q):
             T = T.real  # keep real inputs on the fast real BLAS path
         core = self.Q.conj().T @ T @ self.Q

@@ -241,3 +241,50 @@ def test_each_trial_solves_its_radii_in_one_kernel_call(monkeypatch):
         alone = evaluate(entry.id, kit.space, kit.operands[entry.operand_kind],
                          {name: kit.params[name] for name in entry.params})
         assert got.to_json() == alone.to_json(), entry.id
+
+
+def test_each_trial_evaluates_each_entry_once(monkeypatch):
+    # over one sweep of the (dim, rank) lattice, each entry's evaluator body
+    # runs once per trial, and the trial's seminorms take at most two stacked
+    # SVDs: one for its first round of requests, one for QA5's second
+    from opradius import harness
+    trials, norms = [], []
+    kit, norm = harness.build_kit, inequalities.spectral_norm
+
+    def started(config, trial):
+        trials.append(trial)
+        norms.append(0)
+        return kit(config, trial)
+
+    def counted_norm(M):
+        norms[-1] += M.ndim == 3
+        return norm(M)
+
+    def body(entry_id, gen):
+        runs.append((trials[-1], entry_id))
+        return (yield from gen)
+
+    def counted(entry):
+        evaluator = entry.evaluator
+
+        def run(ctx, ops, params):
+            out = evaluator(ctx, ops, params)
+            if isinstance(out, tuple):
+                runs.append((trials[-1], entry.id))
+                return out
+            return body(entry.id, out)
+        return run
+
+    runs = []
+    monkeypatch.setattr(harness, "build_kit", started)
+    monkeypatch.setattr(inequalities, "spectral_norm", counted_norm)
+    catalog = list_catalog()
+    for entry in catalog:
+        monkeypatch.setattr(entry, "evaluator", counted(entry))
+    cfg = EnsembleConfig(dims=[2, 3, 4, 5, 6], rank_policy="each", trials=20,
+                         master_seed=42)
+    run_fuzz(cfg)
+    assert trials == list(range(cfg.trials))
+    assert sorted(runs) == sorted((trial, entry.id) for trial in trials
+                                  for entry in catalog)
+    assert max(norms) <= 2 and min(norms) >= 1

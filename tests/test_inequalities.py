@@ -218,18 +218,43 @@ def test_shared_context_does_not_reuse_a_freed_operands_compression():
         assert (shared.lhs, shared.rhs) == (fresh.lhs, fresh.rhs)
 
 
-def test_recorded_radii_fall_back_to_single_solves_when_one_fails():
-    # a recorded matrix whose radius raises leaves every recorded radius to
-    # rad: each is then solved alone, and the failing one raises there
-    from opradius import numerical_radius
+def test_requests_fall_back_to_single_solves_when_one_fails():
+    # a batch with a matrix whose radius or seminorm raises is redone one
+    # matrix at a time: each list of requests gets its values, or the first
+    # exception that one of its requests raises alone
+    from opradius import numerical_radius, spectral_norm
     ctx = EvalContext(build_space(np.eye(2)))
     good, bad = np.array([[1.0, 2.0], [0.0, 1j]]), np.array([[np.inf, 0.0], [0.0, 1.0]])
-    ctx.recorded = []
-    assert ctx.rad(good) == ctx.rad(bad) == 1.0
-    ctx.solve_recorded()
-    assert ctx.recorded is None and ctx.rad(good) == numerical_radius(good)
+    nan = np.array([[np.nan, 0.0], [0.0, 1j]])
+    ok, failed, norms, unbounded = ctx.answer([
+        [("rad", good)], [("rad", good), ("rad", bad), ("nrm", good)],
+        [("nrm", good), ("nrm", good.T)], [("nrm", good), ("nrm", nan)]])
+    assert ok == [numerical_radius(good)]
+    assert isinstance(failed, ValueError) and isinstance(unbounded, ValueError)
+    assert norms == [spectral_norm(good), spectral_norm(good.T)]
+    assert ctx.rad(good) == numerical_radius(good)
     with pytest.raises(ValueError):
         ctx.rad(bad)
+
+
+def test_real_and_complex_requests_asked_together_keep_their_bits():
+    # the parts of the repro's QA5 operator scaled by 1/w: the real one
+    # solved in complex arithmetic would lose its last bit (QA5's rhs would
+    # read 2.5, not 2.5000000000000004), so each dtype is stacked apart
+    from opradius import numerical_radius, spectral_norm
+    sp = build_space(A_PD)
+    B = sp.compression(0.5 * np.array([[1, 0], [1, 1]], dtype=float))
+    Bh = B / numerical_radius(B)
+    H, K = (Bh + Bh.conj().T) / 2, (Bh - Bh.conj().T) / 2j
+    assert H.dtype == float and K.dtype == complex
+    assert spectral_norm(H.astype(complex)) != spectral_norm(H)
+    [got] = EvalContext(sp).answer([[("nrm", H), ("rad", H), ("nrm", K),
+                                     ("rad", K)]])
+    assert got == [spectral_norm(H), numerical_radius(H), spectral_norm(K),
+                   numerical_radius(K)]
+    assert evaluate("QA5", sp, [0.5 * np.array([[1, 0], [1, 1]]),
+                                0.5 * np.array([2 - np.sqrt(3), 1 - np.sqrt(3)])]
+                    ).rhs == 2.5000000000000004
 
 
 def test_every_entry_statement_and_kind():

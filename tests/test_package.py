@@ -28,3 +28,30 @@ def test_benchmark_spans_install_and_uninstall(monkeypatch):
     assert wrapped
     for owner, attr, original in wrapped:
         assert getattr(owner, attr) is original, attr
+
+
+def test_traced_fuzz_reports_equal_untraced_ones(monkeypatch):
+    # the recorder wraps each catalog evaluator in a plain function: the
+    # harness must still know a generator evaluator by what it returns
+    import opradius.elliptic  # noqa: F401  (install wraps its names too)
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Recorder
+
+    def reports():
+        seen = []
+        opradius.harness.run_fuzz(
+            opradius.EnsembleConfig(trials=2, master_seed=42),
+            observer=lambda trial, rep: seen.append(rep.to_json()))
+        return seen
+
+    untraced = reports()
+    rec = Recorder()
+    try:
+        rec.install(opradius)
+        traced = reports()
+    finally:
+        rec.uninstall()
+    assert traced == untraced
+    assert len(untraced) == 2 * len(opradius.list_catalog())
+    assert rec.layer_stats()[0]["inequalities.QA1"] == 2
