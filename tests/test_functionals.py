@@ -161,6 +161,17 @@ def test_non_finite_matrix_rejected(M):
     for fn in (numerical_radius, crawford_number):
         with pytest.raises(ValueError, match="NaN or Inf"):
             fn(np.array(M, dtype=complex))
+    # a stack is converted and tested once, with the same message
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        functionals._radii([np.eye(2), np.array(M, dtype=complex), np.eye(2)])
+
+
+@pytest.mark.parametrize("mats, ndim", [([np.ones(3)], 1),
+                                        ([np.ones(3), np.ones(3)], 1),
+                                        ([np.eye(2), np.ones((1, 2, 2))], 3)])
+def test_radii_reject_a_matrix_that_is_not_2d(mats, ndim):
+    with pytest.raises(ValueError, match=f"expected a 2-D matrix, got ndim={ndim}$"):
+        functionals._radii(mats)
 
 
 # -- Crawford number --------------------------------------------------------

@@ -211,8 +211,8 @@ def test_observer_sees_every_evaluation():
 
 
 def test_each_trial_solves_its_radii_in_one_kernel_call(monkeypatch):
-    # over one sweep of the (dim, rank) lattice, the recording pass finds
-    # every radius a trial asks for, so the real pass solves none alone; the
+    # over one sweep of the (dim, rank) lattice, a trial's evaluators ask
+    # for all their radii in one round, so none is solved alone; the
     # observer sees each report once, in catalog order, as each entry
     # evaluated alone gives it
     calls, seen = [], []
