@@ -113,7 +113,7 @@ class EvalContext:
         """For each list of requests, its values, or the first exception one
         of them raises alone.  The radii not cached are solved in one
         ``_radii`` call and the seminorms in one stacked ``spectral_norm``
-        per shape and dtype; a batch that raises is redone by ``rad``."""
+        per shape and dtype; a batch that raises is redone matrix by matrix."""
         caches = {"rad": self._rad, "nrm": self._nrm}
         asked = [[(kind, M, M.tobytes()) for kind, M in reqs] for reqs in asked]
         rads, norms = {}, {}
