@@ -43,11 +43,13 @@ seed's bracket (one stacked ``eigh`` per step over the brackets still
 open) and the first level-set test (one stacked ``solve`` and
 ``eigvals``).  A radius whose test finds crossings goes on alone in
 ``_extremum`` from the records already evaluated, as do the Crawford
-number and the radius above ``DENSE_SWEEP_MAX``.  Each operation gives
-a matrix of a stack the bits it gives it alone, so a radius solved in a
-stack is bit-identical to one solved alone.  A fuzz trial's catalog
-entries ask for their radii at once, and ``inequalities.EvalContext``
-solves them in one ``_radii`` call and its seminorms in stacked SVDs.
+number and the radius above ``DENSE_SWEEP_MAX``: a lone matrix is a
+stack of one, for ``_extremum`` as for every function of the kernel.
+Each operation gives a matrix of a stack the bits it gives it alone, so
+a radius solved in a stack is bit-identical to one solved alone.  A
+fuzz trial's catalog entries ask for their radii at once, and
+``inequalities.EvalContext`` solves them in one ``_radii`` call and its
+seminorms in stacked SVDs.
 
 ``lo`` is the value itself: the best support line evaluated, attained
 by its eigenvector.  ``hi`` is the bound of the worst gap (radius), or
@@ -285,32 +287,9 @@ def _seeds(P: np.ndarray, R: np.ndarray,
     return F, V, DF
 
 
-class _RotatedTop:
-    """f(theta) = lam_max(cos(theta) P + sin(theta) R) for one pair of
-    Hermitian P, R: the matrix that ``_extremum`` works on alone.
-
-    A call returns ``(f, v, f')`` (see ``_rows``), ``batch`` and ``seeds``
-    records ``(theta, f, v, f')``; ``err`` bounds the error of a computed
-    ``f`` (``_errs``).
-    """
-
-    def __init__(self, P: np.ndarray, R: np.ndarray):
-        self.P, self.R = P, R
-        self.r = P.shape[0]
-        self.err = float(_errs(P[None], R[None])[0])
-
-    def seeds(self) -> list:
-        F, V, DF = _seeds(self.P[None], self.R[None], np.array([self.err]))
-        theta = _seed_angles(SEED_ANGLES, False)[0]
-        return list(zip(theta.tolist(), F[0].tolist(), V[0], DF[0].tolist()))
-
-    def batch(self, theta: np.ndarray) -> list:
-        f, V, df = _rows(self.P[None], self.R[None], np.array([self.err]),
-                         np.cos(theta), np.sin(theta), False)
-        return list(zip(theta.tolist(), f[0].tolist(), V[0], df[0].tolist()))
-
-    def __call__(self, theta: float):
-        return self.batch(np.array([theta]))[0][1:]
+def _records(theta: np.ndarray, f: np.ndarray, V: np.ndarray, df: np.ndarray) -> list:
+    # the records (theta, f, v, f') of one matrix's rows, as _extremum reads them
+    return list(zip(theta.tolist(), f.tolist(), V, df.tolist()))
 
 
 def _illinois(P: np.ndarray, R: np.ndarray, err: np.ndarray, a: np.ndarray,
@@ -445,9 +424,10 @@ def _crossings(M: np.ndarray, t: np.ndarray) -> dict:
     return out
 
 
-def _extremum(top: _RotatedTop, maximize: bool, evals: list | None = None,
+def _extremum(P: np.ndarray, R: np.ndarray, maximize: bool, evals: list | None = None,
               cross: np.ndarray | None = None) -> tuple:
-    """Extremum of f over the circle as ``(psi, f, top eigenvector, hi)``.
+    """Extremum of f over the circle, for the stacks of one P, R (see
+    ``_rows``), as ``(psi, f, top eigenvector, hi)``.
 
     With f the support function h of W(M), maximizing gives the numerical
     radius and minimizing gives -(the Crawford number) when that is
@@ -459,7 +439,8 @@ def _extremum(top: _RotatedTop, maximize: bool, evals: list | None = None,
     criss-cross step.  See the module docstring for the method.
     """
     sign = 1.0 if maximize else -1.0
-    err = _finite(top.err)
+    errs = _errs(P, R)
+    err = _finite(float(errs[0]))
     # one record (psi, f, f', support point) per evaluated angle, ascending
     # in [0, 2 pi); gap k lies between records k and k+1 (cyclically)
     recs: list[tuple[float, float, float, complex]] = []
@@ -493,15 +474,22 @@ def _extremum(top: _RotatedTop, maximize: bool, evals: list | None = None,
         b, _, gb, _ = recs[(k + 1) % len(recs)]
         if sign * ga > 0 > sign * gb:
             bracket = np.array([[err], [a], [sign * ga], [a + (b - a) % _TWO_PI], [sign * gb]])
-            for _, t, f, v, df in _illinois(top.P[None], top.R[None], *bracket, sign):
-                record(t.item(), f.item(), v[0], df.item())
+            for _, *step in _illinois(P, R, *bracket, sign):
+                record(*_records(*step)[0])
+
+    def rows(theta: np.ndarray) -> list:
+        return _records(theta, *(x[0] for x in _rows(P, R, errs, np.cos(theta),
+                                                      np.sin(theta), False)))
 
     def toward_best() -> int:
         # the gap that the best angle's slope points into
         k = bisect.bisect_left(recs, (best[0],))
         return k if best[3] > 0 else k - 1
 
-    for rec in top.seeds() if evals is None else evals:
+    if evals is None:
+        evals = _records(_seed_angles(SEED_ANGLES, False)[0],
+                         *(x[0] for x in _seeds(P, R, errs)))
+    for rec in evals:
         record(*rec)
     for rnd in range(1, LEVEL_ROUNDS + 1):
         if cross is None:
@@ -509,13 +497,13 @@ def _extremum(top: _RotatedTop, maximize: bool, evals: list | None = None,
         # criss-cross: h midway between the crossings
         lo = best[1]
         mid = cross + np.diff(cross, append=cross[0] + _TWO_PI) / 2
-        for rec in top.batch(mid):
+        for rec in rows(mid):
             record(*rec)
         if best[1] <= lo or rnd == LEVEL_ROUNDS:   # nothing raised, or no test left
             break
         narrow(toward_best())
         hi = _level(np.array([best[1]]), err)
-        found = _crossings((top.P + 1j * top.R)[None], hi)
+        found = _crossings(P + 1j * R, hi)
         if not found:
             return (*best[:3], float(hi[0]))
         cross = found[0]
@@ -538,7 +526,7 @@ def _extremum(top: _RotatedTop, maximize: bool, evals: list | None = None,
         n = len(recs)
         narrow(k)
         if len(recs) == n:
-            record(aim[k], *top(aim[k]))
+            record(*rows(np.array([aim[k]]))[0])
         if len(recs) == n:      # every angle tried was evaluated before
             break
 
@@ -562,12 +550,12 @@ def spectral_norm(M: np.ndarray):
 
 
 def _dense(P: np.ndarray, R: np.ndarray) -> list:
-    """``_radius`` of each matrix of the dense stacks M = P + iR, by the
-    level-set phase: the seeds, Illinois narrowing of the best seed's
-    bracket and one level-set test, each as arrays over the stack.  A
-    radius whose test finds crossings continues in ``_extremum``.  The
-    angle theta is -psi: Re(e^{i theta} M) is the support function's
-    matrix at psi = -theta."""
+    """The radius of each matrix of the dense stacks M = P + iR, as
+    ``_radii`` gives it, by the level-set phase: the seeds, Illinois
+    narrowing of the best seed's bracket and one level-set test, each as
+    arrays over the stack.  A radius whose test finds crossings continues
+    in ``_extremum``.  The angle theta is -psi: Re(e^{i theta} M) is the
+    support function's matrix at psi = -theta."""
     n = len(P)
     err = _finite(_errs(P, R))
     theta = _seed_angles(SEED_ANGLES, False)[0]
@@ -591,17 +579,19 @@ def _dense(P: np.ndarray, R: np.ndarray) -> list:
     hi = _finite(_level(best[1], err))
     out = list(zip(best[1].tolist(), (-best[0] % _TWO_PI).tolist(), best[2], hi.tolist()))
     for i, cross in _crossings(P + 1j * R, hi).items():
-        evals = list(zip(theta.tolist(), F[i].tolist(), V[i], DF[i].tolist()))
-        evals += [(t[q].item(), f[q].item(), v[q], df[q].item())
-                  for s, t, f, v, df in steps for q in np.flatnonzero(s == i)]
-        psi, val, vec, h = _extremum(_RotatedTop(P[i], R[i]), True, evals, cross)
+        evals = _records(theta, F[i], V[i], DF[i])
+        for s, *rows in steps:
+            evals += _records(*(x[s == i] for x in rows))
+        psi, val, vec, h = _extremum(P[i:i + 1], R[i:i + 1], True, evals, cross)
         out[i] = val, -psi % _TWO_PI, vec, _finite(h)
     return out
 
 
 def _radii(mats: list) -> list[tuple[float, float, np.ndarray, float]]:
-    """``_radius`` of each matrix.  The matrices of one size are solved as
-    one stack, and each result is bit-identical to that of a solve
+    """Numerical radius of each matrix as ``(value, theta, eigvec, hi)``:
+    the supremum is attained by the top eigenvector of Re(e^{i theta} M),
+    and ``hi`` bounds it from above.  The matrices of one size are solved
+    as one stack, and each result is bit-identical to that of a solve
     alone."""
     out = [None] * len(mats)
     shapes: dict[tuple, list] = {}
@@ -617,9 +607,9 @@ def _radii(mats: list) -> list[tuple[float, float, np.ndarray, float]]:
 
 
 def _radii_of_size(M: np.ndarray) -> list:
-    """``_radius`` of each matrix of the stack M: in closed form up to 1
-    row, from the spectrum of a Hermitian M, else from the support
-    function (``_dense`` up to ``DENSE_SWEEP_MAX``)."""
+    """The radius of each matrix of the stack M, as ``_radii`` gives it:
+    in closed form up to 1 row, from the spectrum of a Hermitian M, else
+    from the support function (``_dense`` up to ``DENSE_SWEEP_MAX``)."""
     n, r = M.shape[:2]
     if r <= 1:
         m = M[:, 0, 0] if r else np.zeros(n, complex)
@@ -646,23 +636,16 @@ def _radii_of_size(M: np.ndarray) -> list:
             solved = _dense(P, R)
         else:
             solved = [(val, -psi % _TWO_PI, vec, _finite(hi)) for psi, val, vec, hi in
-                      (_extremum(_RotatedTop(p, q), True) for p, q in zip(P, R))]
+                      (_extremum(P[i:i + 1], R[i:i + 1], True) for i in range(len(P)))]
         for i, res in zip(skew, solved):
             out[i] = res
     return out
 
 
-def _radius(M: np.ndarray) -> tuple[float, float, np.ndarray, float]:
-    """Numerical radius as ``(value, theta, eigvec, hi)``: the supremum is
-    attained by the top eigenvector of Re(e^{i theta} M), and ``hi``
-    bounds it from above."""
-    return _radii([M])[0]
-
-
 def numerical_radius(M: np.ndarray) -> float:
     """Classical numerical radius of a square matrix; ValueError if an
     entry is NaN or Inf or the result overflows."""
-    return _radius(M)[0]
+    return _radii([M])[0][0]
 
 
 def _crawford(M: np.ndarray) -> tuple[float, float]:
@@ -674,7 +657,7 @@ def _crawford(M: np.ndarray) -> tuple[float, float]:
     if r == 1:
         val = abs(complex(M[0, 0]))
         return val, val
-    _, h_min, _, hi = _extremum(_RotatedTop(*_split(M)), maximize=False)
+    _, h_min, _, hi = _extremum(*_split(M[None]), maximize=False)
     return max(0.0, -h_min), hi
 
 
@@ -709,7 +692,7 @@ def a_numerical_radius(space: SemiHilbertSpace, T) -> RadiusResult:
                       DegenerateSpaceWarning, stacklevel=2)
         return RadiusResult(0.0, 0.0, np.zeros(space.dim, complex), 0.0,
                             0.0, 0.0)
-    val, theta, vec, hi = _radius(M)
+    val, theta, vec, hi = _radii([M])[0]
     form = complex(vec.conj() @ (M @ vec))
     gap = abs(val - abs(form)) + 1e-12 * max(1.0, frobenius(M))
     x = space.lift_vector(vec)

@@ -100,7 +100,7 @@ class EvalContext:
         if np.iscomplexobj(self.space.Q):
             Ts = list({id(T): T for T in ops if T.ndim == 2}.values())
             with contextlib.suppress(OpRadiusError, ValueError):
-                Ms = self.space.compression(np.stack(Ts), stack=True)
+                Ms = self.space.compression(np.stack(Ts))
                 self._comp.update((id(T), (T, M)) for T, M in zip(Ts, Ms))
 
     def rad(self, M: np.ndarray) -> float:

@@ -91,34 +91,36 @@ class SemiHilbertSpace:
 
     # -- operators ---------------------------------------------------------
 
-    def _check_operator(self, T, stack: bool = False) -> np.ndarray:
-        T = as_matrix(T, stack)
-        if T.shape[stack:] != (self.dim, self.dim):
+    def _check_operator(self, T) -> np.ndarray:
+        # a 3-D array is a stack of operators
+        T = as_matrix(T, np.ndim(T) == 3)
+        if T.shape[-2:] != (self.dim, self.dim):
             raise DimensionMismatch(
                 f"operator is {T.shape}, space dim is {self.dim}"
             )
         return T
 
-    def membership_residual(self, T, stack: bool = False):
+    def membership_residual(self, T):
         """Residual ||A^{1/2} T Qn|| = ||Lam^{1/2} Q* T Qn|| of the
-        nullspace-invariance test, and its threshold; with ``stack``, the
-        arrays of those of a stack of operators."""
-        T = self._check_operator(T, stack)
+        nullspace-invariance test, and its threshold; of a stack, the
+        arrays of those of its operators.  A lone operator is a stack of
+        one, so that it has the bits it has in any stack."""
+        T = self._check_operator(T)
         if self.rank in (0, self.dim):
-            return np.zeros(T.shape[:stack]) if stack else 0.0, self.tol
-        leak = self._sqrt_lam[:, None] * (self.Q.conj().T @ T @ self.Qn)
-        res = frobenius(leak) if stack else float(np.linalg.norm(leak))
-        thr = self.tol * (1.0 + frobenius(T) * frobenius(self.metric))
-        return res, thr
+            return np.zeros(T.shape[:-2]) if T.ndim > 2 else 0.0, self.tol
+        S = T.reshape(-1, self.dim, self.dim)
+        leak = self._sqrt_lam[:, None] * (self.Q.conj().T @ S @ self.Qn)
+        res, thr = frobenius(leak), self.tol * (1.0 + frobenius(S) * frobenius(self.metric))
+        return (res, thr) if T.ndim > 2 else (float(res[0]), float(thr[0]))
 
     def require_member(self, T, exc_type=NotInBA,
                        lead: str = "operator maps null(A) outside null(A)",
-                       tail: str = "", stack: bool = False) -> np.ndarray:
+                       tail: str = "") -> np.ndarray:
         """Return the validated ``T``, or raise ``exc_type`` reading
         ``"<lead>: nullspace-invariance residual R exceeds THR<tail>"``
-        (for a ``stack``, of its first operator that fails)."""
-        T = self._check_operator(T, stack)
-        res, thr = np.broadcast_arrays(*self.membership_residual(T, stack))
+        (for a stack, of its first operator that fails)."""
+        T = self._check_operator(T)
+        res, thr = np.broadcast_arrays(*self.membership_residual(T))
         if not np.all(res <= thr):
             k = np.argmin(res <= thr)       # the first that fails; NaN fails
             raise exc_type(
@@ -127,25 +129,24 @@ class SemiHilbertSpace:
             )
         return T
 
-    def compression(self, T, check: bool = True, stack: bool = False) -> np.ndarray:
-        """The r x r matrix Lam^{1/2} (Q* T Q) Lam^{-1/2}; with ``stack``, those
-        of a stack of operators, each as alone unless real and complex mix."""
-        T = (self.require_member(T, stack=stack) if check
-             else self._check_operator(T, stack))
+    def compression(self, T, check: bool = True) -> np.ndarray:
+        """The r x r matrix Lam^{1/2} (Q* T Q) Lam^{-1/2}; of a stack, those
+        of its operators, each as alone unless real and complex mix."""
+        T = self.require_member(T) if check else self._check_operator(T)
         if self.rank == 0:
-            return np.zeros(T.shape[:stack] + (0, 0), dtype=complex)
+            return np.zeros(T.shape[:-2] + (0, 0), dtype=complex)
         if not T.imag.any() and not np.iscomplexobj(self.Q):
             T = T.real  # keep real inputs on the fast real BLAS path
         core = self.Q.conj().T @ T @ self.Q
         return core * (self._sqrt_lam[:, None] / self._sqrt_lam[None, :])
 
     def classify(self, T) -> OperatorClassification:
-        T = self._check_operator(T)
+        T = as_matrix(T)
         res, thr = self.membership_residual(T)
         member = res <= thr
         scale = max(1.0, frobenius(self.metric) * frobenius(T))
         AT = self.metric @ T
-        selfadj = float(np.linalg.norm(AT - T.conj().T @ self.metric)) <= self.tol * scale
+        selfadj = frobenius(AT - T.conj().T @ self.metric) <= self.tol * scale
         positive = False
         if selfadj:
             H = (AT + AT.conj().T) / 2
@@ -156,12 +157,11 @@ class SemiHilbertSpace:
         if member:
             M = self.compression(T, check=False)
             if M.size:
-                mm = M.conj().T @ M
-                comm = float(np.linalg.norm(mm - M @ M.conj().T))
-                normal = comm <= self.tol * max(1.0, frobenius(M) ** 2)
-                unitary = float(
-                    np.linalg.norm(mm - np.eye(self.rank))
-                ) <= self.tol * max(1.0, frobenius(M) ** 2)
+                # above about 1e154, M* M overflows and M reads as not normal
+                mm, nM = M.conj().T @ M, frobenius(M)
+                bound = self.tol * max(1.0, nM * nM)
+                normal = frobenius(mm - M @ M.conj().T) <= bound
+                unitary = frobenius(mm - np.eye(self.rank)) <= bound
             else:
                 normal = unitary = True
         return OperatorClassification(
@@ -172,7 +172,7 @@ class SemiHilbertSpace:
     def sharp_adjoint(self, T) -> np.ndarray:
         """The distinguished metric adjoint ``A^+ T* A`` (requires
         membership; satisfies ``A T^sharp = T* A``)."""
-        T = self.require_member(T, lead="no metric adjoint")
+        T = self.require_member(as_matrix(T), lead="no metric adjoint")
         return (self.Q / self.lam) @ self.Q.conj().T @ T.conj().T @ self.metric
 
     def re_a(self, T) -> np.ndarray:

@@ -253,12 +253,26 @@ def test_lanczos_matches_dense_path(make, monkeypatch):
     # above DENSE_SWEEP_MAX the kernel runs on Lanczos; the dense path,
     # forced by raising the switch, is the reference
     M = make()
-    radius, (craw, craw_hi) = functionals._radius(M)[0], functionals._crawford(M)
+    radius, (craw, craw_hi) = functionals._radii([M])[0][0], functionals._crawford(M)
     monkeypatch.setattr(functionals, "DENSE_SWEEP_MAX", 10**6)
-    assert abs(radius - functionals._radius(M)[0]) <= 1e-9 * radius
+    assert abs(radius - functionals._radii([M])[0][0]) <= 1e-9 * radius
     dense = functionals._crawford(M)[0]
     assert abs(craw - dense) <= 1e-9 * dense
     assert craw <= craw_hi
+
+
+def _rotated(M):
+    # the Hermitian stacks of one P, R of M = P + iR, and the bound on the
+    # error of a computed f
+    P, R = functionals._split(M[None])
+    return P, R, functionals._errs(P, R)
+
+
+def _top(P, R, err, theta):
+    # (f, v, f') of f(theta) = lam_max(cos(theta) P + sin(theta) R) of a
+    # stack of one, as _extremum evaluates it
+    f, V, df = functionals._rows(P, R, err, np.cos([theta]), np.sin([theta]), False)
+    return f[0, 0], V[0, 0], df[0, 0]
 
 
 @pytest.fixture
@@ -280,11 +294,11 @@ def test_lanczos_stops_before_spanning_the_space(eigh_sizes):
     # h(0) is 0 against a norm of 1e8: a residual test relative to |h|
     # cannot pass there, the bound err (relative to the norm) can
     r = 160
-    top = functionals._RotatedTop(*functionals._split(_large_negative_top(r)))
-    f, v, _ = top(0.0)
+    P, R, err = _rotated(_large_negative_top(r))
+    f, v, _ = _top(P, R, err, 0.0)
     assert max(eigh_sizes) < r
-    assert np.linalg.norm(top.P @ v - f * v) <= top.err
-    assert abs(f - np.linalg.eigvalsh(top.P)[-1]) <= top.err
+    assert np.linalg.norm(P[0] @ v - f * v) <= err[0]
+    assert abs(f - np.linalg.eigvalsh(P[0])[-1]) <= err[0]
 
 
 def test_lanczos_stops_when_the_krylov_space_closes(eigh_sizes):
@@ -292,22 +306,21 @@ def test_lanczos_stops_when_the_krylov_space_closes(eigh_sizes):
     # solves, the Krylov space is invariant up to rounding
     lam = np.arange(1, 7) * np.exp(1j * np.pi / 3 * np.arange(6))
     M = np.diag(np.tile(lam, 22))
-    f, _, _ = functionals._RotatedTop(*functionals._split(M))(0.3)
+    f, _, _ = _top(*_rotated(M), 0.3)
     assert max(eigh_sizes) == 6
     assert f == pytest.approx((np.exp(-0.3j) * lam).real.max(), rel=1e-12)
     assert numerical_radius(M) == pytest.approx(6.0, rel=1e-12)
 
 
 def test_lanczos_value_depends_on_angle_alone():
-    # perfbench's r = 129 template: two evaluators with different earlier
+    # perfbench's r = 129 template: two evaluations with different earlier
     # angles must agree bit for bit at the same angle
     rng = np.random.default_rng([0, 129])
     space = random_space(129, 129, rng)
     M = space.compression(random_in_BA(space, rng))
-    first, second = (functionals._RotatedTop(*functionals._split(M))
-                     for _ in range(2))
-    first(0.3), first(2.0), second(4.0)
-    (f1, _, df1), (f2, _, df2) = first(1.0), second(1.0)
+    first, second = (_rotated(M) for _ in range(2))
+    _top(*first, 0.3), _top(*first, 2.0), _top(*second, 4.0)
+    (f1, _, df1), (f2, _, df2) = _top(*first, 1.0), _top(*second, 1.0)
     assert f1 == f2 and df1 == df2
 
 
@@ -517,6 +530,20 @@ def test_radius_and_crawford_number_of_a_huge_matrix():
     assert numerical_radius(M) <= spectral_norm(M)
 
 
+@pytest.mark.parametrize("scale", [1e170, 1e200, 1e300])
+def test_functionals_of_a_huge_member(scale):
+    # the lone membership residual squared the entries of the leak: from
+    # about 1e170 it overflowed, and each functional raised NotInBA or
+    # UnboundedForm for an operator that a stack of operators accepted
+    sp = build_space(random_psd(4, 2, 1))
+    T = random_in_BA(sp, 2)
+    for fn in (operator_a_norm, lambda sp, T: a_numerical_radius(sp, T).value,
+               a_crawford):
+        with np.errstate(over="ignore"):    # the norms' first sums of squares
+            huge = fn(sp, scale * T)
+        assert huge == pytest.approx(scale * fn(sp, T), rel=1e-12)
+
+
 # -- cutting-plane kernel ---------------------------------------------------
 # W(M) is moved off-centre by a shift c e^{i phi} with |c| up to 4 ||M||
 
@@ -653,8 +680,8 @@ def test_illinois_stops_once_the_secant_rounds_onto_an_end(evaluations):
 def _certified(M):
     """``(value, hi)`` of the radius, asserting the cut loop's stopping rule
     hi - lo <= CUT_RTOL * hi + 4 err."""
-    val, _, _, hi = functionals._radius(M)
-    err = functionals._RotatedTop(*functionals._split(M)).err
+    val, _, _, hi = functionals._radii([M])[0]
+    err = _rotated(M)[2][0]
     assert val <= hi
     assert hi - val <= functionals.CUT_RTOL * hi + 4 * err
     return val, hi
@@ -773,38 +800,41 @@ def _spurious_crossings(monkeypatch):
 ], ids=[*(f"dense{r}" for r in range(2, 7)), "dense128", "lanczos129", "real5",
         "mesh10", "real129", "criss-cross", "spurious-crossings"])
 def test_every_solved_record_matches_a_single_solve(make, monkeypatch):
-    # each (f, v, f') read from a seed solve or a batch is the one a solve
+    # each (f, v, f') read from a seed solve or a row is the one a solve
     # at its own angle gives, to within err: a record read off as the
     # antipode or mirror of an angle that is not one is caught here
     solved = []
-    top, seeds = functionals._RotatedTop, functionals._seeds
-    batch = top.batch
+    seeds, rows = functionals._seeds, functionals._rows
     theta = np.arange(functionals.SEED_ANGLES) * (2 * np.pi / functionals.SEED_ANGLES)
 
     def recorded_seeds(P, R, err):
         out = seeds(P, R, err)
-        for k, rows in enumerate(zip(*out)):
-            rot = top(P[k], R[k])
-            solved.extend((rot, t, *rec) for t, *rec in zip(theta, *rows))
+        for k, recs in enumerate(zip(*out)):
+            solved.extend((P[k], R[k], err[k], np.cos(t), np.sin(t), *rec)
+                          for t, *rec in zip(theta, *recs))
         return out
 
-    def recorded_batch(self, theta):
-        out = batch(self, theta)
-        solved.extend((self, *rec) for rec in out)
+    def recorded_rows(P, R, err, c, s, both):
+        out = rows(P, R, err, c, s, both)
+        if not both:            # two-ended rows are read by _seeds alone
+            cs = (np.broadcast_to(x, out[0].shape) for x in (c, s))
+            for k, recs in enumerate(zip(*cs, *out)):
+                solved.extend((P[k], R[k], err[k], *rec) for rec in zip(*recs))
         return out
 
     monkeypatch.setattr(functionals, "_seeds", recorded_seeds)
-    monkeypatch.setattr(top, "batch", recorded_batch)
+    monkeypatch.setattr(functionals, "_rows", recorded_rows)
     M = make(monkeypatch)
-    functionals._radius(M)
-    monkeypatch.setattr(top, "batch", batch)
+    functionals._radii([M])
+    monkeypatch.setattr(functionals, "_rows", rows)
     assert len(solved) >= functionals.SEED_ANGLES
-    for rot, t, f, v, df in solved:
-        f1, _, df1 = rot(t)
-        H = np.cos(t) * rot.P + np.sin(t) * rot.R
-        assert abs(f - f1) <= rot.err and abs(df - df1) <= rot.err, t
+    for P, R, err, c, s, f, v, df in solved:
+        f1, _, df1 = (x[0, 0] for x in rows(P[None], R[None], np.array([err]),
+                                             np.array([c]), np.array([s]), False))
+        H = c * P + s * R
+        assert abs(f - f1) <= err and abs(df - df1) <= err, (c, s)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(H @ v - f * v) <= rot.err, t
+        assert np.linalg.norm(H @ v - f * v) <= err, (c, s)
 
 
 @pytest.mark.parametrize("real, solves", [(False, 8), (True, 5)])
@@ -819,11 +849,13 @@ def test_seed_step_solves_half_the_seeds_or_fewer(real, solves, monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    rot = functionals._RotatedTop(*functionals._split(_gaussian(5, real)))
-    seeds = rot.seeds()
+    P, R, err = _rotated(_gaussian(5, real))
+    F, _, _ = functionals._seeds(P, R, err)
     assert shapes == [(solves, 5, 5)]
-    assert [t for t, *_ in seeds] == (np.arange(functionals.SEED_ANGLES) * (
-        2 * np.pi / functionals.SEED_ANGLES)).tolist()
+    # the angles _extremum reads the seeds at
+    assert F.shape == (1, functionals.SEED_ANGLES)
+    assert functionals._seed_angles(functionals.SEED_ANGLES, False)[0].tolist() == (
+        np.arange(functionals.SEED_ANGLES) * (2 * np.pi / functionals.SEED_ANGLES)).tolist()
 
 
 # -- chords of huge support points ------------------------------------------
@@ -836,7 +868,7 @@ def test_crawford_enclosure_of_a_huge_matrix(e):
     M = np.array([[1, 1], [1j, 1]]) * 10.0**e
     with np.errstate(over="ignore"):        # the error scale's first norm
         value, hi = functionals._crawford(M)
-        err = functionals._RotatedTop(*functionals._split(M)).err
+        err = _rotated(M)[2][0]
     assert value <= hi
     assert hi - value <= functionals.CUT_RTOL * hi + 4 * err
 
@@ -851,7 +883,7 @@ def _bits(result):
 def _assert_stacked_equals_alone(mats):
     # (value, angle, witness, hi) of each matrix of a stack, bit for bit as
     # its solve alone; the stack is also solved in reverse order
-    alone = [_bits(functionals._radius(M)) for M in mats]
+    alone = [_bits(functionals._radii([M])[0]) for M in mats]
     assert [_bits(res) for res in functionals._radii(mats)] == alone
     assert [_bits(res) for res in functionals._radii(mats[::-1])] == alone[::-1]
 
@@ -928,12 +960,12 @@ def test_dense_radii_continue_exactly_when_their_first_test_crosses(
             crossed.extend(M[k].tobytes() for k in out)
         return out
 
-    def continued(top, maximize, *args):
+    def continued(P, R, maximize, *args):
         entered.append(None)
         try:
-            return extremum(top, maximize, *args)
+            return extremum(P, R, maximize, *args)
         finally:
-            entered[-1] = (top.P + 1j * top.R).tobytes()
+            entered[-1] = (P + 1j * R)[0].tobytes()
 
     monkeypatch.setattr(functionals, "_crossings", first_tests)
     monkeypatch.setattr(functionals, "_extremum", continued)

@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opradius import (
+    EnsembleConfig,
     a_numerical_radius,
     build_space,
     errors,
+    random_a_positive,
     random_in_BA,
     random_psd,
 )
+from opradius.harness import build_kit
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
 
@@ -122,6 +125,20 @@ def test_classify_identity_all_flags():
     for A in (A_PD, A_RANK1, np.diag([1.0, 0.0])):
         cls = build_space(A).classify(np.eye(2))
         assert cls.in_BA and cls.a_selfadjoint and cls.a_positive and cls.a_unitary
+
+
+def test_classify_a_huge_positive_operator():
+    # the defects squared entries of up to 1e300 and read the overflow as a
+    # failure; once the residual passes, the scale frobenius(M) ** 2 of the
+    # normal test raised OverflowError from 1e170.  Above about 1e154
+    # M* M itself overflows, so a_normal is not asked there
+    sp = build_space(random_psd(4, 2, 1))
+    P = random_a_positive(sp, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert sp.classify(1e150 * P).a_normal
+        for scale in (1e170, 1e300):
+            cls = sp.classify(scale * P)
+            assert cls.in_BA and cls.a_selfadjoint and cls.a_positive
 
 
 def test_sharp_adjoint_counterexample():
@@ -285,3 +302,47 @@ def test_membership_messages_keep_their_wording():
                        r".* exceeds \S+; the supremum over the A-unit sphere "
                        r"is infinite$"):
         a_numerical_radius(sp, sx)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+def test_a_stack_compresses_as_its_operators_alone(scale):
+    # the fuzz compresses a kit's operators as one stack, check and replay
+    # each alone: both must give the same bits.  Of a real metric, a real
+    # operator is compressed in real arithmetic, so the real operators (of
+    # the 1 x 1 kit) are stacked apart
+    config = EnsembleConfig(dims=list(range(1, 7)), rank_policy="each", master_seed=42)
+    for trial, case in enumerate(DIM_RANK):
+        kit = build_kit(config, trial)
+        sp = kit.space
+        assert (sp.dim, sp.rank) == case
+        ops = {id(T): T for Ts in kit.operands.values() for T in Ts if T.ndim == 2}
+        for real in (False, True):
+            Ts = scale * np.array([T for T in ops.values() if T.imag.any() != real])
+            if not len(Ts):
+                continue
+            with np.errstate(over="ignore"):    # the norms' first sums of squares
+                Ms = sp.compression(Ts)
+                res, thr = np.broadcast_arrays(*sp.membership_residual(Ts))
+                for k, T in enumerate(Ts):
+                    assert sp.compression(T).tobytes() == Ms[k].tobytes()
+                    assert np.array(sp.membership_residual(T)).tobytes() == np.array(
+                        [res[k], thr[k]]).tobytes()
+
+
+def test_the_shape_of_an_array_decides_a_stack():
+    sp = build_space(np.diag([1.0, 0.0]))
+    sx = np.array([[0, 1], [1, 0]], float)
+    Ts = np.stack([np.eye(2), np.diag([2.0, 3.0])])
+    assert sp.compression(Ts).shape == (2, 1, 1)
+    assert np.shape(sp.membership_residual(Ts)[0]) == (2,)
+    assert sp.require_member(Ts).shape == (2, 2, 2)
+    with pytest.raises(errors.NotInBA, match=r"residual 1\.000e\+00 exceeds"):
+        sp.require_member(np.stack([np.eye(2), sx]))
+    for bad in (np.ones(2), np.ones((2, 2, 2, 2))):
+        for fn in (sp.compression, sp.membership_residual, sp.require_member):
+            with pytest.raises(ValueError, match=f"^expected a 2-D matrix, got ndim={bad.ndim}$"):
+                fn(bad)
+    # a metric adjoint and a classification are of one operator
+    for fn in (sp.classify, sp.sharp_adjoint):
+        with pytest.raises(ValueError, match="^expected a 2-D matrix, got ndim=3$"):
+            fn(Ts)

@@ -15,7 +15,11 @@ sections:
 - ``elliptic``: ``lhs``, ``rhs`` and ``w_S`` of the demo at N = 10, 20, 40;
 - ``large``: radius and Crawford number, each with its ``hi``, of the
   generic r = 128 and r = 129 templates of the benchmark's ``large``
-  workload.
+  workload;
+- ``crawford``: the Crawford number and its ``hi`` of the compression M of
+  each ``pair`` and ``family`` operator of the first 20 kits of the
+  seed-42 campaign, and of M + 2 ||M||_2 I, whose numerical range lies
+  off 0 (198 pairs).
 
 ``compare`` prints, per section, how many floats moved and each move,
 largest relative move first, then every other difference (a string, an
@@ -41,14 +45,20 @@ DATA = Path(__file__).resolve().parents[1] / "data"
 QUANTITIES = ("norm", "radius", "crawford", "adjoint", "classify", "compress")
 ELLIPTIC_NS = (10, 20, 40)
 LARGE_RANKS = (128, 129)
+CRAWFORD_KITS = 20
+
+
+def _campaign():
+    from opradius.ensembles import EnsembleConfig
+
+    return EnsembleConfig(dims=[2, 3, 4, 5, 6], rank_policy="each",
+                          trials=1000, master_seed=42)
 
 
 def _fuzz() -> dict:
-    from opradius.ensembles import EnsembleConfig
     from opradius.harness import run_fuzz
 
-    doc = run_fuzz(EnsembleConfig(dims=[2, 3, 4, 5, 6], rank_policy="each",
-                                  trials=1000, master_seed=42)).to_json()
+    doc = run_fuzz(_campaign()).to_json()
     del doc["duration_seconds"]
     return doc
 
@@ -106,8 +116,24 @@ def _large() -> dict:
     return out
 
 
+def _crawford_numbers() -> dict:
+    from opradius.functionals import _crawford, spectral_norm
+    from opradius.harness import build_kit
+
+    out = {}
+    for trial in range(CRAWFORD_KITS):
+        kit = build_kit(_campaign(), trial)
+        for i, T in enumerate(kit.operands["pair"] + kit.operands["family"]):
+            M = kit.space.compression(T)
+            shifted = M + 2 * spectral_norm(M) * np.eye(len(M))
+            for name, X in (("M", M), ("shifted", shifted)):
+                value, hi = _crawford(X)
+                out[f"trial{trial}/op{i}/{name}"] = {"value": value, "hi": hi}
+    return out
+
+
 SECTIONS = {"fuzz": _fuzz, "repro": _repro, "compute": _compute,
-            "elliptic": _elliptic, "large": _large}
+            "elliptic": _elliptic, "large": _large, "crawford": _crawford_numbers}
 
 
 def _walk(a, b, path: str, moves: list, other: list) -> None:
