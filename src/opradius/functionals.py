@@ -477,7 +477,7 @@ def _extremum(P: np.ndarray, R: np.ndarray, maximize: bool, evals: list | None =
             for _, *step in _illinois(P, R, *bracket, sign):
                 record(*_records(*step)[0])
 
-    def rows(theta: np.ndarray) -> list:
+    def records_at(theta: np.ndarray) -> list:
         return _records(theta, *(x[0] for x in _rows(P, R, errs, np.cos(theta),
                                                       np.sin(theta), False)))
 
@@ -497,7 +497,7 @@ def _extremum(P: np.ndarray, R: np.ndarray, maximize: bool, evals: list | None =
         # criss-cross: h midway between the crossings
         lo = best[1]
         mid = cross + np.diff(cross, append=cross[0] + _TWO_PI) / 2
-        for rec in rows(mid):
+        for rec in records_at(mid):
             record(*rec)
         if best[1] <= lo or rnd == LEVEL_ROUNDS:   # nothing raised, or no test left
             break
@@ -526,7 +526,7 @@ def _extremum(P: np.ndarray, R: np.ndarray, maximize: bool, evals: list | None =
         n = len(recs)
         narrow(k)
         if len(recs) == n:
-            record(*rows(np.array([aim[k]]))[0])
+            record(*records_at(np.array([aim[k]]))[0])
         if len(recs) == n:      # every angle tried was evaluated before
             break
 
